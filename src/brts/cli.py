@@ -102,16 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def read_source(name: str) -> str | None:
+    """The text of an input file, or None after reporting why it is unreadable."""
+    try:
+        return Path(name).read_text()
+    except OSError as err:
+        print(f"{name}: error: {err}", file=sys.stderr)
+        return None
+
+
 def cmd_check(args) -> int:
     worst = EXIT_OK
     payload = []
     for name in args.files:
         path = Path(name)
-        try:
-            source = path.read_text()
-        except OSError as err:
-            print(f"{name}: error: {err}", file=sys.stderr)
-            return EXIT_INTERNAL
+        source = read_source(name)
+        if source is None:
+            return EXIT_PARSE
         code, checker, diags = check_source(source, str(path), strict=args.strict)
         worst = max(worst, code)
         if args.json:
@@ -165,7 +172,9 @@ def render_value(value) -> str:
 
 def cmd_run(args) -> int:
     path = Path(args.file)
-    source = path.read_text()
+    source = read_source(args.file)
+    if source is None:
+        return EXIT_PARSE
     if args.unchecked:
         try:
             program = parse_program(source, str(path))
@@ -219,7 +228,9 @@ def cmd_simulate(args) -> int:
     except (MachineError, OSError) as err:
         print(f"{args.machine}: error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    source = Path(args.program).read_text()
+    source = read_source(args.program)
+    if source is None:
+        return EXIT_PARSE
     code, checker, diags = check_source(source, args.program)
     if code != EXIT_OK:
         for d in diags:
@@ -302,7 +313,10 @@ def cmd_explain(args) -> int:
         print("error: --at expects LINE:COL", file=sys.stderr)
         return EXIT_INTERNAL
     path = Path(args.file)
-    code, checker, diags = check_source(path.read_text(), str(path))
+    source = read_source(args.file)
+    if source is None:
+        return EXIT_PARSE
+    code, checker, diags = check_source(source, str(path))
     if checker is None:
         for d in diags:
             print(d.render(str(path)), file=sys.stderr)
@@ -333,8 +347,11 @@ def cmd_explain(args) -> int:
 
 def cmd_fmt(args) -> int:
     path = Path(args.file)
+    source = read_source(args.file)
+    if source is None:
+        return EXIT_PARSE
     try:
-        program = parse_program(path.read_text(), str(path))
+        program = parse_program(source, str(path))
     except BrtsError as err:
         print(err.diagnostic.render(str(path)), file=sys.stderr)
         return EXIT_PARSE

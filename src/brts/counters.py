@@ -171,9 +171,6 @@ class Lts:
     def moves(self, s: LtsState) -> tuple[tuple[str, LtsState], ...]:
         return self.transitions.get(s, ())
 
-    def labeling(self, s: LtsState) -> tuple:
-        return s.label()
-
     def size(self) -> int:
         return len(self.states)
 

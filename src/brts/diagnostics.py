@@ -52,6 +52,7 @@ CODES = {
     "DuplicateMember": "BRTS022",
     "ArityMismatch": "BRTS023",
     "TypeMismatch": "BRTS024",
+    "UnsupportedRelation": "BRTS025",
 }
 
 

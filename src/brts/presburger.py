@@ -256,13 +256,6 @@ class Exists(Formula):
     body: Formula
 
 
-_ATOMS = (TrueF, FalseF, Le, EqZ, Dvd, NotDvd)
-
-
-def is_atom(f: Formula) -> bool:
-    return isinstance(f, _ATOMS)
-
-
 # -- constructors over surface comparisons ----------------------------------
 
 def le(t1: Term | Lin, t2: Term | Lin) -> Formula:
@@ -467,11 +460,6 @@ def map_atoms(f: Formula, fn) -> Formula:
             return Exists(v, map_atoms(body, fn))
         case _:
             return fn(f)
-
-
-def rename_free(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename free variables; bound variables shadow as usual."""
-    return substitute(f, {old: Var(new) for old, new in mapping.items()})
 
 
 def substitute(f: Formula, mapping: Mapping[str, Term | Lin]) -> Formula:

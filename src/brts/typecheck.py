@@ -3,8 +3,14 @@
 Judgments thread a constraint environment alongside the variable context:
 checking an expression yields its type and grows the environment with the
 facts the expression introduced.  Every constraint obligation funnels into
-the linear-arithmetic solver; each solver query is recorded so the whole
-run can be replayed and audited.
+the linear-arithmetic solver.  With ``audit=True`` the checker also records
+each subtype and equality query, frozen against its context, so the run can
+be replayed through the arithmetic reduction; recording is opt-in because
+freezing a type costs a projection per query.
+
+The environment carries whether it is satisfiable (``Ctx.sat``: True, False
+or None for unknown), so the unreachable-code warning asks the solver only
+when an assumption may have changed the answer.
 
 Logical variables written in annotations are scoped to their method
 signature and shared between the pre and post sides.  The checker renames
@@ -58,6 +64,7 @@ class Ctx:
         self.checker = checker
         self.scopes: list[dict[str, Binding]] = [{}]
         self.phi: Formula = TRUE
+        self.sat: Optional[bool] = True    # is phi satisfiable; None = unknown
         self.logical_vars: set[str] = set()
         # how the enclosing signature spelled its logical variables
         self.annot_names: dict[str, str] = {}
@@ -66,6 +73,7 @@ class Ctx:
         c = Ctx(self.st, self.checker)
         c.scopes = [dict(s) for s in self.scopes]
         c.phi = self.phi
+        c.sat = self.sat
         c.logical_vars = set(self.logical_vars)
         c.annot_names = dict(self.annot_names)
         return c
@@ -73,6 +81,7 @@ class Ctx:
     def restore(self, other: "Ctx") -> None:
         self.scopes = other.scopes
         self.phi = other.phi
+        self.sat = other.sat
         self.logical_vars = other.logical_vars
         self.annot_names = other.annot_names
 
@@ -101,8 +110,15 @@ class Ctx:
     def fresh(self, base: str) -> str:
         return self.checker.fresh(base)
 
-    def assume(self, f: Formula, span: Span = NO_SPAN) -> None:
-        self.phi = simplify(conj(self.phi, f))
+    def assume(self, f: Formula, span: Span = NO_SPAN,
+               keeps_sat: bool = False) -> None:
+        """Conjoin f.  keeps_sat: the caller knows that a satisfiable phi
+        stays satisfiable with f; an unsatisfiable phi always stays so."""
+        phi = simplify(conj(self.phi, f))
+        if phi != self.phi:
+            self.phi = phi
+            if self.sat and not keeps_sat:
+                self.sat = None
         self.checker.note_context(self, span)
 
 
@@ -177,10 +193,11 @@ class QueryRecord:
 
 class Checker:
     def __init__(self, program: ast.Program, filename: str = "<input>",
-                 strict_calls: bool = False):
+                 strict_calls: bool = False, audit: bool = False):
         self.program = program
         self.filename = filename
         self.strict_calls = strict_calls
+        self.audit = audit
         self.diagnostics: list[Diagnostic] = []
         self.obligations: list[Obligation] = []
         self.query_log: list[QueryRecord] = []
@@ -203,7 +220,11 @@ class Checker:
 
     def note_context(self, ctx: Ctx, span: Span) -> None:
         key = (span.line, span.col)
-        if span != NO_SPAN and key not in self._dead_warned and not is_satisfiable(ctx.phi):
+        if span == NO_SPAN or key in self._dead_warned:
+            return
+        if ctx.sat is None:
+            ctx.sat = is_satisfiable(ctx.phi)
+        if not ctx.sat:
             self._dead_warned.add(key)
             self.warn("ContradictoryContext",
                       "constraint environment is unsatisfiable from here on",
@@ -211,6 +232,8 @@ class Checker:
 
     def record_query(self, kind: str, t1: Type, t2: Type, result: bool,
                      ctx: Optional[Ctx]) -> None:
+        if not self.audit:
+            return
         self.query_log.append(QueryRecord(kind, freeze_type(ctx, t1),
                                           freeze_type(ctx, t2), result))
 
@@ -301,15 +324,6 @@ class Checker:
                 self.error("PermissionViolation",
                            f"permission {got.perm} does not match declared "
                            f"permission {declared.perm}", span)
-
-    def check_state_decl(self, state: str) -> None:
-        info = self.st.info(state)
-        for fam in info.families.values():
-            check_family_formation(self.st, fam)
-        for fd in info.fields.values():
-            self.check_field_decl(state, fd)
-        for md in info.methods.values():
-            self.check_method_decl(state, md)
 
     def check_method_decl(self, state: str, md: ast.MethodDecl) -> None:
         ctx = Ctx(self.st, self)
@@ -790,8 +804,10 @@ class Checker:
     def _join_arms(self, ctx: Ctx, arms: list[Ctx]) -> None:
         """Merge the arm contexts into ctx: bindings that diverged get fresh
         coordinates pinned per arm inside that arm's environment, so the
-        disjunction of the environments carries the exact case split."""
+        disjunction of the environments carries the exact case split.  The
+        join is satisfiable iff some arm is."""
         phis = [a.phi for a in arms]
+        sats = [a.sat for a in arms]
         scopes: list[dict[str, Binding]] = []
         for level in range(min(len(a.scopes) for a in arms)):
             scope: dict[str, Binding] = {}
@@ -804,16 +820,17 @@ class Checker:
                 if all(t == types[0] for t in types[1:]):
                     scope[name] = Binding(types[0], mutable)
                     continue
-                joined = self._join_binding(ctx, name, types, phis)
+                joined = self._join_binding(ctx, name, types, phis, sats)
                 scope[name] = Binding(joined, mutable)
             scopes.append(scope)
         ctx.scopes = scopes
         ctx.phi = simplify(disj(*phis))
+        ctx.sat = True if any(sats) else None if None in sats else False
         ctx.logical_vars = set().union(*(a.logical_vars for a in arms))
         ctx.logical_vars |= free_vars(ctx.phi)
 
     def _join_binding(self, ctx: Ctx, name: str, types: list[Type],
-                      phis: list[Formula]) -> Type:
+                      phis: list[Formula], sats: list[Optional[bool]]) -> Type:
         perms = [t.perm if isinstance(t, PermPair) else None for t in types]
         inners = [strip_perm(t) for t in types]
         insts = [t if isinstance(t, InstanceType) else None for t in inners]
@@ -832,6 +849,10 @@ class Checker:
                 pins = conj(*(eq(Var(w), arg)
                               for w, arg in zip(fresh, inst.args)))
                 phis[k] = simplify(conj(phis[k], pins, inst.constraint))
+                # pinning fresh coordinates keeps an arm satisfiable; a
+                # constraint may not
+                if sats[k] and inst.constraint != TRUE:
+                    sats[k] = None
             joined: Type = InstanceType(insts[0].family,
                                         tuple(Var(w) for w in fresh), TRUE, lca)
         else:
@@ -1028,13 +1049,17 @@ class Checker:
                 self._report_call_failure(ctx, call, actual, pname, got_i, pre_i,
                                           post_i, bindings, pre_f, post_f,
                                           sig_vars, span)
-            ctx.assume(goal, span)
-            fam = ctx.st.find_family(pre_i.family)
-            frozen_pre = InstanceType(pre_i.family,
-                                      tuple(Var(c) for c in fam.coord_vars),
-                                      self._side_formula(fam.coord_vars, pre_i),
-                                      pre_i.state)
-            self.subtype(ctx, got_i, frozen_pre)
+            # the obligation phi => exists sig. goal holds, so with the
+            # signature's variables fresh a satisfiable phi && goal stays so
+            ctx.assume(goal, span,
+                       keeps_sat=sig_vars.isdisjoint(free_vars(ctx.phi)))
+            if self.audit:
+                fam = ctx.st.find_family(pre_i.family)
+                frozen_pre = InstanceType(pre_i.family,
+                                          tuple(Var(c) for c in fam.coord_vars),
+                                          self._side_formula(fam.coord_vars, pre_i),
+                                          pre_i.state)
+                self.subtype(ctx, got_i, frozen_pre)
             if post_i is not None:
                 rebind_to = _with_instance(post, replace(post_i, constraint=TRUE))
         else:
@@ -1311,7 +1336,7 @@ def _show(ty: Type) -> str:
 # ---------------------------------------------------------------------------
 
 def check_program(program: ast.Program, filename: str = "<input>",
-                  strict_calls: bool = False) -> Checker:
-    checker = Checker(program, filename, strict_calls)
+                  strict_calls: bool = False, audit: bool = False) -> Checker:
+    checker = Checker(program, filename, strict_calls, audit)
     checker.run()
     return checker

@@ -123,9 +123,8 @@ def test_criterion_3_reduction_agreement():
     disagreements = 0
     queries = 0
     for path in sorted(CORPUS.glob("*/*.brts")):
-        code, checker, _ = check_source(path.read_text(), str(path))
-        if checker is None:
-            continue
+        checker = check_program(parse_program(path.read_text(), str(path)),
+                                str(path), audit=True)
         for q in checker.query_log:
             rel = SubRel(q.t1, q.t2) if q.kind == "subtype" else EqRel(q.t1, q.t2)
             if is_valid(reduce_to_paf(rel, checker.st)) != q.result:

@@ -2,6 +2,7 @@
 tracing, simulation and the obligation explainer."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,11 @@ CORPUS = ROOT / "corpus"
 
 
 def brts(*args: str, cwd=ROOT):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "brts.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +203,22 @@ def test_export_lts_dot():
     assert out.returncode == 0
     assert out.stdout.startswith("digraph")
     assert "PushLR" in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# unreadable inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ("check", "{missing}"),
+    ("fmt", "{missing}"),
+    ("run", "{missing}"),
+    ("simulate", "corpus/prodcons/machine.mca", "{missing}"),
+    ("explain", "{missing}", "--at", "1:1"),
+])
+def test_missing_input_file_is_a_located_exit_two(tmp_path, args):
+    missing = str(tmp_path / "missing.brts")
+    out = brts(*(a.format(missing=missing) for a in args))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"{missing}: error: ")
+    assert "internal error" not in out.stderr

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from brts.diagnostics import BrtsError
@@ -61,8 +63,8 @@ GOOD_MAIN = VIOLATING_MAIN.replace(
     "pc.consume(buffer); pc.consume(buffer);")
 
 
-def check_source(src: str, strict: bool = False) -> Checker:
-    return check_program(parse_program(src), strict_calls=strict)
+def check_source(src: str, strict: bool = False, audit: bool = False) -> Checker:
+    return check_program(parse_program(src), strict_calls=strict, audit=audit)
 
 
 def errors_of(checker: Checker) -> list:
@@ -460,12 +462,20 @@ def test_psi_violating_instance_subtype_invalid():
 
 
 def test_reduction_agrees_with_rule_based_checker():
-    checker = check_source(BUFFER_STATES + GOOD_MAIN)
+    checker = check_source(BUFFER_STATES + GOOD_MAIN, audit=True)
     assert errors_of(checker) == []
     assert checker.query_log
     for q in checker.query_log:
         rel = SubRel(q.t1, q.t2) if q.kind == "subtype" else EqRel(q.t1, q.t2)
         assert is_valid(reduce_to_paf(rel, checker.st)) == q.result, q
+
+
+def test_unsupported_relation_renders_with_its_code():
+    checker = fixture_checker()
+    with pytest.raises(BrtsError) as info:
+        reduce_to_paf(object(), checker.st)
+    assert info.value.kind == "UnsupportedRelation"
+    assert "[BRTS025]" in info.value.diagnostic.render()
 
 
 def test_strict_mode_agrees_on_running_example():
@@ -507,3 +517,65 @@ state Main {
     assert len(phis) >= 2
     for earlier, later in zip(phis, phis[1:]):
         assert entails(later, earlier)
+
+
+
+# ---------------------------------------------------------------------------
+# unreachable code and the opt-in query audit
+# ---------------------------------------------------------------------------
+
+# pre and post sides contradict each other, so the whole body is dead
+SQUEEZE = """
+    void squeeze((1, SB(phi(p, q, p >= q + 5), OpenBuffer)) >> (1, SB(phi(p, q, q >= p + 5), OpenBuffer)) buf)[] {
+        this.produce(buf);
+        this.consume(buf);
+        match (buf) {
+            case OpenBuffer { this.produce(buf); }
+            default { this.consume(buf); }
+        };
+        this.produce(buf);
+    }
+"""
+
+
+def test_contradictory_context_warned_once_per_span():
+    anchor = "    void close((1, SB(phi(p, q, p >= q), OpenBuffer))"
+    src = BUFFER_STATES.replace(anchor, SQUEEZE.lstrip("\n") + anchor) + """
+state Main {
+    void main()[] { }
+}
+"""
+    checker = check_source(src)
+    assert errors_of(checker) == []
+    warned = [(d.span.line, d.span.col) for d in checker.diagnostics
+              if d.kind == "ContradictoryContext"]
+    assert all(d.kind == "ContradictoryContext" for d in checker.diagnostics)
+    # the parameter, where pre and post meet, then every call's argument:
+    # two before the match, one in each arm, one after the join
+    expected = []
+    for number, line in enumerate(src.splitlines(), start=1):
+        if "void squeeze(" in line:
+            expected.append((number, line.index("(") + 2))
+        elif "this." in line:
+            expected.append((number, line.index("(buf)") + 2))
+    assert len(expected) == 6
+    assert warned == expected
+
+
+CORPUS_PROGRAMS = sorted((Path(__file__).parent.parent / "corpus").glob("*/*.brts"))
+
+
+def _verdicts(checker: Checker) -> tuple:
+    return ([d.render() for d in checker.diagnostics],
+            [(o.span, o.rule, o.phi, o.goal, o.verdict, o.countermodel)
+             for o in checker.obligations])
+
+
+@pytest.mark.parametrize("path", CORPUS_PROGRAMS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_audit_changes_no_verdict(path):
+    program = parse_program(path.read_text(), str(path))
+    plain = check_program(program, str(path))
+    audited = check_program(program, str(path), audit=True)
+    assert _verdicts(plain) == _verdicts(audited)
+    assert plain.query_log == []
+    assert audited.query_log
