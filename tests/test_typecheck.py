@@ -546,7 +546,6 @@ state Main {
 }
 """
     checker = check_source(src)
-    assert errors_of(checker) == []
     warned = [(d.span.line, d.span.col) for d in checker.diagnostics
               if d.kind == "ContradictoryContext"]
     assert all(d.kind == "ContradictoryContext" for d in checker.diagnostics)
