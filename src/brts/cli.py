@@ -108,7 +108,15 @@ def read_source(name: str) -> str | None:
         return Path(name).read_text()
     except OSError as err:
         print(f"{name}: error: {err}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as err:
+        print(f"{name}: error: not UTF-8 text: {err}", file=sys.stderr)
+    return None
+
+
+def machine_error(name: str, err: Exception) -> int:
+    """Report a machine-tool error against the file it concerns."""
+    print(f"{name}: error: {err}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 def cmd_check(args) -> int:
@@ -226,8 +234,7 @@ def cmd_simulate(args) -> int:
     try:
         machine = load_machine(args.machine)
     except (MachineError, OSError) as err:
-        print(f"{args.machine}: error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return machine_error(args.machine, err)
     source = read_source(args.program)
     if source is None:
         return EXIT_PARSE
@@ -243,7 +250,7 @@ def cmd_simulate(args) -> int:
     if initial is None:
         print(f"{args.program}: error: main declares no dependent typestate "
               f"to start from", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_PARSE
 
     if args.final_state:
         final = lambda s, v: table.is_substate(s, args.final_state)
@@ -256,8 +263,14 @@ def cmd_simulate(args) -> int:
     else:
         final = lambda s, v: True
 
-    machine_lts = mca_to_lts(machine, args.bound)
-    br_lts = brts_to_lts(annotations, initial, args.bound, table=table, final=final)
+    try:
+        machine_lts = mca_to_lts(machine, args.bound)
+    except MachineError as err:
+        return machine_error(args.machine, err)
+    try:
+        br_lts = brts_to_lts(annotations, initial, args.bound, table=table, final=final)
+    except MachineError as err:
+        return machine_error(args.program, err)
     result = check_simulation(br_lts, machine_lts)
     if isinstance(result, Counterexample):
         if args.json:
@@ -286,10 +299,9 @@ def cmd_reach(args) -> int:
     try:
         machine = load_machine(args.machine)
         bad = parse_formula(args.bad)
+        path = reach_violation(machine, bad, args.bound)
     except (MachineError, BrtsError, OSError) as err:
-        print(f"{args.machine}: error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    path = reach_violation(machine, bad, args.bound)
+        return machine_error(args.machine, err)
     if args.json:
         print(witness_to_json(path))
     elif path is None:
@@ -311,7 +323,7 @@ def cmd_explain(args) -> int:
         line, col = int(line_s), int(col_s)
     except ValueError:
         print("error: --at expects LINE:COL", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_PARSE
     path = Path(args.file)
     source = read_source(args.file)
     if source is None:
@@ -362,10 +374,10 @@ def cmd_fmt(args) -> int:
 def cmd_export_lts(args) -> int:
     try:
         machine = load_machine(args.machine)
+        lts = mca_to_lts(machine, args.bound)
     except (MachineError, OSError) as err:
-        print(f"{args.machine}: error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    print(lts_to_dot(mca_to_lts(machine, args.bound), title=machine.name))
+        return machine_error(args.machine, err)
+    print(lts_to_dot(lts, title=machine.name))
     return EXIT_OK
 
 

@@ -7,21 +7,37 @@ transition-system constructions are explicit and bounded: states whose
 counter magnitudes exceed the bound are not explored, which is what makes
 simulation checking and reachability both runnable and exact on the
 explored window.
+
+Guards are solved directly over the integers.  Their shape (a conjunction
+of comparisons over at most two variables with unit coefficients) lets unit
+equations pin a primed counter from known values; only the primed counters
+still free after that propagation are enumerated over the bound, and each
+candidate costs one ground evaluation of the guard.
+
+Simulation is the greatest relation refined by predecessor counters
+(Henzinger, Henzinger & Kopke, "Computing simulations on finite and
+infinite graphs", FOCS 1995).  States are interned to integers, and for
+every simulator state p, label a and simulated state q2 a counter holds how
+many a-successors p2 of p still have (p2, q2) in the relation.  Removing a
+pair decrements the counters of its predecessors; a counter at zero removes
+every pair (p, q) with an a-move of q into q2.  The worklist runs in round
+order, so each removed pair keeps the round in which the naive Jacobi
+iteration would drop it, and counterexamples are rebuilt from those rounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
-
-import networkx as nx
 
 from .diagnostics import BrtsError
 from .parser import parse_formula
 from .presburger import (
-    Const, Formula, Lin, Term, Var,
+    And, Const, EqZ, Formula, Le, Lin, Term, TrueF, Var,
     conj, disj, eq, evaluate, free_vars, ge, simplify, substitute, TRUE,
 )
 from .syntax import ChangeType, InstanceType, PermPair, StateTable, Type
@@ -62,36 +78,39 @@ class CounterMachine:
 
     def __post_init__(self) -> None:
         names = set(self.counters) | {primed(c) for c in self.counters}
+        self._outgoing: dict[str, list[tuple[Transition, frozenset[str]]]] = {}
         for t in self.transitions:
             if t.src not in self.states or t.dst not in self.states:
                 raise MachineError("UnknownState",
                                    f"transition {t.label} uses an undeclared state")
-            extra = free_vars(t.guard) - names
+            mentioned = free_vars(t.guard)
+            extra = mentioned - names
             if extra:
                 raise MachineError(
                     "UnknownCounter",
                     f"guard of '{t.label}' mentions unknown names: {sorted(extra)}")
             _check_guard_shape(t.guard, t.label)
+            self._outgoing.setdefault(t.src, []).append((t, mentioned))
 
     def outgoing(self, state: str) -> list[Transition]:
-        return [t for t in self.transitions if t.src == state]
+        return [t for t, _ in self._outgoing.get(state, ())]
 
     def successors(self, state: str, valuation: tuple[int, ...],
                    bound: int) -> Iterable[tuple[str, str, tuple[int, ...]]]:
         """All (label, dst, valuation') steps enabled here, within the bound."""
         env = dict(zip(self.counters, valuation))
-        for t in self.outgoing(state):
-            grounded = substitute(t.guard, {c: Const(v) for c, v in env.items()})
-            for nxt in _primed_solutions(grounded, self.counters, env, bound):
+        for t, mentioned in self._outgoing.get(state, ()):
+            for nxt in _guard_solutions(t.guard, mentioned, self.counters, env, bound):
                 yield t.label, t.dst, nxt
 
 
-def _check_guard_shape(guard: Formula, label: str) -> None:
-    from .presburger import And, Le, EqZ, TrueF
+def _guard_atoms(guard: Formula) -> tuple[Formula, ...]:
     atoms = guard.parts if isinstance(guard, And) else (guard,)
-    for a in atoms:
-        if isinstance(a, TrueF):
-            continue
+    return tuple(a for a in atoms if not isinstance(a, TrueF))
+
+
+def _check_guard_shape(guard: Formula, label: str) -> None:
+    for a in _guard_atoms(guard):
         if not isinstance(a, (Le, EqZ)):
             raise MachineError(
                 "BadGuard",
@@ -103,47 +122,42 @@ def _check_guard_shape(guard: Formula, label: str) -> None:
                 f"guard atom of '{label}' is not of the form x # y + c or x # c")
 
 
-def _primed_solutions(grounded: Formula, counters: tuple[str, ...],
-                      env: dict[str, int], bound: int):
-    """Enumerate next valuations.  Unmentioned primed counters are framed to
-    their current value; pinned ones come from unit equations; the rest range
-    over the bound."""
-    mentioned = free_vars(grounded)
-    values: dict[str, list[int] | None] = {}
-    work = grounded
+def _guard_solutions(guard: Formula, mentioned: frozenset[str],
+                     counters: tuple[str, ...], env: dict[str, int], bound: int):
+    """Next valuations the guard allows from the current valuation `env`, in
+    the order of the free primed counters' product over the bound.
+
+    Unmentioned primed counters are framed to their current value; a unit
+    equation (every variable known but one, whose coefficient is +1 or -1)
+    pins that one; the rest range over the bound."""
+    atoms = _guard_atoms(guard)
+    values = dict(env)
     for c in counters:
-        pc = primed(c)
-        if pc not in mentioned:
-            values[pc] = [env[c]]
-    # propagate unit equalities until fixpoint
+        if primed(c) not in mentioned:
+            values[primed(c)] = env[c]
+    equations = [a.lin for a in atoms if isinstance(a, EqZ)]
     changed = True
-    pinned: dict[str, int] = {}
     while changed:
         changed = False
-        from .presburger import And, EqZ
-        atoms = work.parts if isinstance(work, And) else (work,)
-        for a in atoms:
-            if isinstance(a, EqZ) and len(a.lin.coeffs) == 1:
-                (v, coeff), = a.lin.coeffs.items()
-                if a.lin.const % coeff == 0:
-                    value = -a.lin.const // coeff
-                    if v not in pinned:
-                        pinned[v] = value
-                        work = simplify(substitute(work, {v: Const(value)}))
-                        changed = True
-    for v, value in pinned.items():
-        values[v] = [value]
-    free = [primed(c) for c in counters
-            if primed(c) not in values]
+        for lin in equations:
+            unknown = [v for v in lin.coeffs if v not in values]
+            if len(unknown) == 1:
+                v = unknown[0]
+                rest = lin.const + sum(k * values[u] for u, k in lin.coeffs.items()
+                                       if u != v)
+                values[v] = -rest * lin.coeffs[v]
+                changed = True
+    # a fixed value outside the bound, or a fully known atom that fails,
+    # rules out every candidate
+    if any(abs(values[primed(c)]) > bound for c in counters if primed(c) in values):
+        return
+    if not all(evaluate(a, values) for a in atoms if a.lin.coeffs.keys() <= values.keys()):
+        return
+    free = [primed(c) for c in counters if primed(c) not in values]
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        env2 = {v: k for v, k in zip(free, combo)}
-        env2.update({v: vs[0] for v, vs in values.items() if vs})
-        leftover = substitute(grounded, {v: Const(k) for v, k in env2.items()})
-        leftover = simplify(leftover)
-        if leftover == TRUE or (not free_vars(leftover) and evaluate(leftover, {})):
-            out = tuple(env2[primed(c)] for c in counters)
-            if all(abs(x) <= bound for x in out):
-                yield out
+        values.update(zip(free, combo))
+        if evaluate(guard, values):
+            yield tuple(values[primed(c)] for c in counters)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +199,19 @@ def mca_to_lts(machine: CounterMachine, bound: int) -> Lts:
                            "initial valuation exceeds the bound")
     init = LtsState(machine.initial, machine.init_valuation)
     lts = Lts(machine.counters, init)
-    seen = {init}
-    queue = [init]
+    seen = {(init.control, init.valuation): init}
+    queue = deque([init])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         lts.states.append(cur)
         moves = []
         for label, dst, val in machine.successors(cur.control, cur.valuation, bound):
-            nxt = LtsState(dst, val)
+            nxt = seen.get((dst, val))
+            if nxt is None:
+                nxt = seen[(dst, val)] = LtsState(dst, val)
+                queue.append(nxt)
             moves.append((label, nxt))
             lts.actions.add(label)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
         lts.transitions[cur] = tuple(moves)
     lts.finals = {s for s in lts.states if s.control in machine.finals}
     return lts
@@ -259,8 +273,8 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     init = LtsState(initial.state, tuple(l.const for l in init_args))
     counters = tuple(f"c{i}" for i in range(len(init.valuation)))
     lts = Lts(counters, init)
-    seen = {init}
-    queue = [init]
+    seen = {(init.control, init.valuation): init}
+    queue = deque([init])
 
     def substate(sub: str, sup: str) -> bool:
         if table is not None:
@@ -268,7 +282,7 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
         return sub == sup
 
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         lts.states.append(cur)
         moves = []
         for ann in annotations:
@@ -278,12 +292,12 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
                 post_val = tuple(Lin.of(a).evaluate(sigma) for a in ann.post_args)
                 if any(abs(v) > bound for v in post_val):
                     continue
-                nxt = LtsState(ann.post_state, post_val)
+                nxt = seen.get((ann.post_state, post_val))
+                if nxt is None:
+                    nxt = seen[(ann.post_state, post_val)] = LtsState(ann.post_state, post_val)
+                    queue.append(nxt)
                 moves.append((ann.label, nxt))
                 lts.actions.add(ann.label)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
         lts.transitions[cur] = tuple(dict.fromkeys(moves))
     if final is not None:
         lts.finals = {s for s in lts.states if final(s.control, s.valuation)}
@@ -327,7 +341,6 @@ def _match_args(ann: Annotation, valuation: tuple[int, ...], bound: int):
 @dataclass
 class SimulationRelation:
     pairs: set[tuple[LtsState, LtsState]]
-    witness: dict[tuple[LtsState, LtsState, str, LtsState], LtsState]
 
     def size(self) -> int:
         return len(self.pairs)
@@ -347,67 +360,105 @@ def check_simulation(sim: Lts, simulated: Lts):
     """Greatest simulation of `simulated` by `sim`, or a counterexample.
 
     A pair survives while the simulator matches every labelled move of the
-    simulated state and respects finals.
+    simulated state and respects finals.  A pair failing the finals test is
+    removed in round 0; any other removed pair gets one more than the least,
+    over its unmatched moves, of the greatest round among that move's
+    matches (round 1 when the simulator has no move with the label).
     """
-    pairs: set[tuple[LtsState, LtsState]] = set()
-    removed_round: dict[tuple[LtsState, LtsState], int] = {}
-    for p in sim.states:
-        for q in simulated.states:
-            if q in simulated.finals and p not in sim.finals:
-                removed_round[(p, q)] = 0
-            else:
-                pairs.add((p, q))
+    ps, qs = sim.states, simulated.states
+    nq = len(qs)
+    p_id = {s: i for i, s in enumerate(ps)}
+    q_id = {s: i for i, s in enumerate(qs)}
+    label_id: dict[str, int] = {}
+    # simulator: successors by label
+    succ: list[dict[int, set[int]]] = [{} for _ in ps]
+    for i, p in enumerate(ps):
+        for b, p2 in sim.moves(p):
+            succ[i].setdefault(label_id.setdefault(b, len(label_id)), set()).add(p_id[p2])
+    # simulated side: the labels each state needs, and the states with an
+    # a-move into q2, keyed a * nq + q2
+    needs: list[set[int]] = [set() for _ in qs]
+    into: dict[int, list[int]] = {}
+    for j, q in enumerate(qs):
+        for a, q2 in simulated.moves(q):
+            aid = label_id.setdefault(a, len(label_id))
+            needs[j].add(aid)
+            into.setdefault(aid * nq + q_id[q2], []).append(j)
+    nl = len(label_id)
+    # simulator predecessors of p2: (p * nq, a * nq, counter base, number
+    # of a-successors of p); the counter of (p, a, q2) sits at base + q2
+    pred: list[list[tuple[int, int, int, int]]] = [[] for _ in ps]
+    for i, by_label in enumerate(succ):
+        for a, targets in by_label.items():
+            for j in targets:
+                pred[j].append((i * nq, a * nq, (i * nl + a) * nq, len(targets)))
 
-    rnd = 0
-    changed = True
-    while changed:
-        changed = False
-        rnd += 1
-        dropped = []
-        for (p, q) in pairs:
-            ok = True
-            for a, q2 in simulated.moves(q):
-                if not any(b == a and (p2, q2) in pairs for b, p2 in sim.moves(p)):
-                    ok = False
-                    break
-            if not ok:
-                dropped.append((p, q))
-        for pq in dropped:
-            pairs.discard(pq)
-            removed_round[pq] = rnd
-            changed = True
+    # round of each removed pair, -1 while the pair is in the relation
+    rounds = array("i", [-1]) * (len(ps) * nq)
+    queue: deque[int] = deque()
+    non_final = [i for i, p in enumerate(ps) if p not in sim.finals]
+    for j, q in enumerate(qs):
+        if q in simulated.finals:
+            for i in non_final:
+                rounds[i * nq + j] = 0
+                queue.append(i * nq + j)
+    by_labels: dict[frozenset[int], list[int]] = {}
+    for i, by_label in enumerate(succ):
+        by_labels.setdefault(frozenset(by_label), []).append(i)
+    for j in range(nq):
+        for have, group in by_labels.items():
+            if needs[j] <= have:
+                continue
+            for i in group:
+                if rounds[i * nq + j] < 0:
+                    rounds[i * nq + j] = 1
+                    queue.append(i * nq + j)
 
-    init_pair = (sim.initial, simulated.initial)
-    if init_pair in pairs:
-        witness = {}
-        for (p, q) in pairs:
-            for a, q2 in simulated.moves(q):
-                for b, p2 in sim.moves(p):
-                    if b == a and (p2, q2) in pairs:
-                        witness[(p, q, a, q2)] = p2
-                        break
-        return SimulationRelation(pairs, witness)
+    alive_matches: dict[int, int] = {}
+    while queue:
+        removed = queue.popleft()
+        i2, j2 = divmod(removed, nq)
+        rnd = rounds[removed] + 1
+        for row, a_nq, base, matches in pred[i2]:
+            dependents = into.get(a_nq + j2)
+            if dependents is None:
+                continue
+            left = alive_matches.get(base + j2, matches) - 1
+            alive_matches[base + j2] = left
+            if left:
+                continue
+            for j in dependents:
+                pair = row + j
+                if rounds[pair] < 0:
+                    rounds[pair] = rnd
+                    queue.append(pair)
+
+    def removed_round(p: LtsState, q: LtsState) -> int:
+        return rounds[p_id[p] * nq + q_id[q]]
+
+    p, q = sim.initial, simulated.initial
+    if removed_round(p, q) < 0:
+        return SimulationRelation({(ps[k // nq], qs[k % nq])
+                                   for k, r in enumerate(rounds) if r < 0})
 
     # reconstruct a shortest refutation path by round numbers
     steps: list[tuple[str, LtsState]] = []
-    p, q = init_pair
     while True:
-        k = removed_round[(p, q)]
+        k = removed_round(p, q)
         if k == 0:
             return Counterexample(
                 steps, f"state {q.label()} is final but {p.label()} is not")
         best = None
         for a, q2 in simulated.moves(q):
             matches = [p2 for b, p2 in sim.moves(p) if b == a]
-            alive = [p2 for p2 in matches if (p2, q2) in pairs]
-            if alive:
+            if any(removed_round(p2, q2) < 0 for p2 in matches):
                 continue
             if not matches:
                 steps.append((a, q2))
                 return Counterexample(
                     steps, f"no move labelled '{a}' from {p.label()}")
-            depth = max(removed_round[(p2, q2)] for p2 in matches)
-            cand = min(matches, key=lambda p2: removed_round[(p2, q2)])
+            depth = max(removed_round(p2, q2) for p2 in matches)
+            cand = min(matches, key=lambda p2: removed_round(p2, q2))
             if best is None or depth < best[0]:
                 best = (depth, a, q2, cand)
         assert best is not None, "refuted pair must have a failing move"
@@ -465,20 +516,25 @@ def reach_violation(machine: CounterMachine, bad: Formula,
     init = (machine.initial, machine.init_valuation)
     if _holds(bad, machine.counters, machine.init_valuation):
         return WitnessPath([], init)
-    seen = {init}
-    queue: list[tuple[str, tuple[int, ...], list]] = [(machine.initial,
-                                                       machine.init_valuation, [])]
+    # each reached (state, valuation) maps to its BFS parent and the step into it
+    parent: dict[tuple, Optional[tuple]] = {init: None}
+    queue = deque([init])
     while queue:
-        state, val, path = queue.pop(0)
-        for label, dst, nxt in machine.successors(state, val, bound):
-            key = (dst, nxt)
-            if key in seen:
+        key = queue.popleft()
+        for label, dst, nxt in machine.successors(key[0], key[1], bound):
+            reached = (dst, nxt)
+            if reached in parent:
                 continue
-            seen.add(key)
-            new_path = path + [(label, dst, nxt)]
+            parent[reached] = (key, (label, dst, nxt))
             if _holds(bad, machine.counters, nxt):
-                return WitnessPath(new_path, init)
-            queue.append((dst, nxt, new_path))
+                steps = []
+                link = parent[reached]
+                while link is not None:
+                    key, step = link
+                    steps.append(step)
+                    link = parent[key]
+                return WitnessPath(steps[::-1], init)
+            queue.append(reached)
     return None
 
 
@@ -504,22 +560,46 @@ def replay(machine: CounterMachine, path: WitnessPath, bound: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def is_flat(machine: CounterMachine) -> bool:
-    """Flat iff no control state lies on more than one elementary cycle."""
-    graph = nx.DiGraph()
-    multiplicity: dict[tuple[str, str], int] = {}
-    graph.add_nodes_from(machine.states)
+    """Flat iff no control state lies on more than one elementary cycle,
+    counting parallel transitions apart.  That holds iff every strongly
+    connected component has at most as many internal transitions
+    (self-loops included) as states; one Tarjan pass finds the components."""
+    succ: dict[str, list[str]] = {s: [] for s in machine.states}
     for t in machine.transitions:
-        multiplicity[(t.src, t.dst)] = multiplicity.get((t.src, t.dst), 0) + 1
-        graph.add_edge(t.src, t.dst)
-    through: dict[str, int] = {s: 0 for s in machine.states}
-    for cycle in nx.simple_cycles(graph):
-        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        count = 1
-        for e in edges:
-            count *= multiplicity[e]
-        for node in cycle:
-            through[node] += count
-    return all(v <= 1 for v in through.values())
+        succ[t.src].append(t.dst)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, int] = {}
+    stack: list[str] = []
+    for root in machine.states:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        while work:
+            node, edges = work[-1]
+            nxt = next(edges, None)
+            if nxt is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        component[member] = index[node]
+                        if member == node:
+                            break
+            elif nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                stack.append(nxt)
+                work.append((nxt, iter(succ[nxt])))
+            elif nxt not in component:
+                low[node] = min(low[node], index[nxt])
+    nodes = Counter(component.values())
+    inner = Counter(component[t.src] for t in machine.transitions
+                    if component[t.src] == component[t.dst])
+    return all(inner[c] <= n for c, n in nodes.items())
 
 
 def accelerate_self_loop(machine: CounterMachine, loop: Transition,
@@ -534,14 +614,10 @@ def accelerate_self_loop(machine: CounterMachine, loop: Transition,
     """
     if loop.src != loop.dst:
         raise MachineError("NotATranslationLoop", "not a self-loop")
-    from .presburger import And, EqZ, Le, TrueF
-    atoms = loop.guard.parts if isinstance(loop.guard, And) else (loop.guard,)
     primes = {primed(c): c for c in machine.counters}
     deltas: dict[str, int] = {}
     pre_atoms: list[Formula] = []
-    for a in atoms:
-        if isinstance(a, TrueF):
-            continue
+    for a in _guard_atoms(loop.guard):
         lin = a.lin
         mentioned_primes = [v for v in lin.coeffs if v in primes]
         if not mentioned_primes:
@@ -670,7 +746,11 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
 def load_machine(path) -> CounterMachine:
     from pathlib import Path
     p = Path(path)
-    return parse_machine(p.read_text(), name=p.stem)
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as err:
+        raise MachineError("ParseError", f"not UTF-8 text: {err}") from err
+    return parse_machine(text, name=p.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,125 @@
+"""Reference implementations of the counter-machine hot paths, kept as
+oracles for the indexed versions in `brts.counters`.
+
+`reference_simulation` is the round-based (Jacobi) greatest-simulation
+loop: every round re-checks every surviving pair against the relation of
+the round before.  `reference_successors` grounds a machine guard with
+`substitute` + `simplify`, pins primed counters by unit equations and
+enumerates the rest.  Both are slow and obviously faithful to the
+definitions, which is what an oracle is for.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from brts.counters import (
+    CounterMachine, Counterexample, Lts, LtsState, SimulationRelation, primed,
+)
+from brts.presburger import (
+    And, Const, EqZ, Formula, TRUE, evaluate, free_vars, simplify, substitute,
+)
+
+
+def reference_simulation(sim: Lts, simulated: Lts):
+    """Greatest simulation of `simulated` by `sim` (a SimulationRelation),
+    or the counterexample rebuilt from the rounds in which pairs fell."""
+    pairs: set[tuple[LtsState, LtsState]] = set()
+    removed_round: dict[tuple[LtsState, LtsState], int] = {}
+    for p in sim.states:
+        for q in simulated.states:
+            if q in simulated.finals and p not in sim.finals:
+                removed_round[(p, q)] = 0
+            else:
+                pairs.add((p, q))
+
+    rnd = 0
+    changed = True
+    while changed:
+        changed = False
+        rnd += 1
+        dropped = []
+        for (p, q) in pairs:
+            for a, q2 in simulated.moves(q):
+                if not any(b == a and (p2, q2) in pairs for b, p2 in sim.moves(p)):
+                    dropped.append((p, q))
+                    break
+        for pq in dropped:
+            pairs.discard(pq)
+            removed_round[pq] = rnd
+            changed = True
+
+    init_pair = (sim.initial, simulated.initial)
+    if init_pair in pairs:
+        return SimulationRelation(pairs)
+
+    steps: list[tuple[str, LtsState]] = []
+    p, q = init_pair
+    while True:
+        k = removed_round[(p, q)]
+        if k == 0:
+            return Counterexample(
+                steps, f"state {q.label()} is final but {p.label()} is not")
+        best = None
+        for a, q2 in simulated.moves(q):
+            matches = [p2 for b, p2 in sim.moves(p) if b == a]
+            if any((p2, q2) in pairs for p2 in matches):
+                continue
+            if not matches:
+                steps.append((a, q2))
+                return Counterexample(
+                    steps, f"no move labelled '{a}' from {p.label()}")
+            depth = max(removed_round[(p2, q2)] for p2 in matches)
+            cand = min(matches, key=lambda p2: removed_round[(p2, q2)])
+            if best is None or depth < best[0]:
+                best = (depth, a, q2, cand)
+        assert best is not None, "refuted pair must have a failing move"
+        _, a, q2, p2 = best
+        steps.append((a, q2))
+        p, q = p2, q2
+
+
+def reference_successors(machine: CounterMachine, state: str,
+                         valuation: tuple[int, ...], bound: int):
+    """The (label, dst, valuation') steps enabled at a machine state, in
+    transition order and, per transition, in product order of the free
+    primed counters."""
+    env = dict(zip(machine.counters, valuation))
+    out = []
+    for t in machine.transitions:
+        if t.src != state:
+            continue
+        grounded = substitute(t.guard, {c: Const(v) for c, v in env.items()})
+        for nxt in _primed_solutions(grounded, machine.counters, env, bound):
+            out.append((t.label, t.dst, nxt))
+    return out
+
+
+def _primed_solutions(grounded: Formula, counters: tuple[str, ...],
+                      env: dict[str, int], bound: int):
+    mentioned = free_vars(grounded)
+    values: dict[str, int] = {}
+    for c in counters:
+        if primed(c) not in mentioned:
+            values[primed(c)] = env[c]
+    # propagate unit equalities until fixpoint
+    work = grounded
+    changed = True
+    while changed:
+        changed = False
+        atoms = work.parts if isinstance(work, And) else (work,)
+        for a in atoms:
+            if isinstance(a, EqZ) and len(a.lin.coeffs) == 1:
+                (v, coeff), = a.lin.coeffs.items()
+                if a.lin.const % coeff == 0 and v not in values:
+                    values[v] = -a.lin.const // coeff
+                    work = simplify(substitute(work, {v: Const(values[v])}))
+                    changed = True
+    free = [primed(c) for c in counters if primed(c) not in values]
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        full = {**values, **dict(zip(free, combo))}
+        leftover = simplify(substitute(grounded, {v: Const(k) for v, k in full.items()}))
+        if leftover == TRUE or (not free_vars(leftover) and evaluate(leftover, {})):
+            out = tuple(full[primed(c)] for c in counters)
+            if all(abs(x) <= bound for x in out):
+                yield out

@@ -222,3 +222,64 @@ def test_missing_input_file_is_a_located_exit_two(tmp_path, args):
     assert out.returncode == 2
     assert out.stderr.startswith(f"{missing}: error: ")
     assert "internal error" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "{bad}"),
+    ("fmt", "{bad}"),
+    ("run", "{bad}"),
+    ("explain", "{bad}", "--at", "1:1"),
+    ("simulate", "corpus/prodcons/machine.mca", "{bad}"),
+    ("simulate", "{bad}", "corpus/prodcons/good.brts"),
+    ("reach", "{bad}", "--bad", "c > p"),
+    ("export-lts", "{bad}"),
+])
+def test_non_utf8_input_is_a_located_exit_two(tmp_path, args):
+    bad = tmp_path / "binary.brts"
+    bad.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00\x80")
+    out = brts(*(a.format(bad=bad) for a in args))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"{bad}: error: not UTF-8 text: ")
+    assert "internal error" not in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# machine-tool errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, blamed, reason", [
+    (("simulate", "corpus/prodcons/machine.mca", "corpus/prodcons/good.brts",
+      "--bound", "-1"), "corpus/prodcons/machine.mca", "bound must be nonnegative"),
+    (("simulate", "corpus/arraybounds/machine.mca", "corpus/arraybounds/good.brts",
+      "--bound", "0"), "corpus/arraybounds/machine.mca",
+     "initial valuation exceeds the bound"),
+    (("reach", "corpus/prodcons/machine.mca", "--bad", "c>p", "--bound", "-1"),
+     "corpus/prodcons/machine.mca", "bound must be nonnegative"),
+    (("reach", "corpus/prodcons/machine.mca", "--bad", "z>0"),
+     "corpus/prodcons/machine.mca",
+     "bad-state formula mentions unknown counters: ['z']"),
+    (("export-lts", "corpus/prodcons/machine.mca", "--bound", "-1"),
+     "corpus/prodcons/machine.mca", "bound must be nonnegative"),
+    (("export-lts", "corpus/arraybounds/machine.mca", "--bound", "0"),
+     "corpus/arraybounds/machine.mca", "initial valuation exceeds the bound"),
+])
+def test_machine_tool_errors_are_located_exit_two(args, blamed, reason):
+    out = brts(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"{blamed}: error: {reason}\n"
+
+
+def test_simulate_without_dependent_typestate_exits_two(tmp_path):
+    program = tmp_path / "plain.brts"
+    program.write_text("state Main { void main()[] { } }\n")
+    out = brts("simulate", "corpus/prodcons/machine.mca", str(program))
+    assert out.returncode == 2
+    assert out.stderr == (f"{program}: error: main declares no dependent typestate "
+                          f"to start from\n")
+
+
+def test_explain_malformed_position_exits_two():
+    out = brts("explain", "corpus/prodcons/fig6.brts", "--at", "x")
+    assert out.returncode == 2
+    assert out.stderr == "error: --at expects LINE:COL\n"

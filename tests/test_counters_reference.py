@@ -1,0 +1,209 @@
+"""Differential tests: the indexed counter-machine tools against the
+reference implementations in `counters_oracle.py`, and `is_flat` against a
+brute-force count of elementary cycles."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from brts.cli import initial_instance_of
+from brts.counters import (
+    Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
+    Transition, annotations_of_program, brts_to_lts, check_simulation, is_flat,
+    load_machine, mca_to_lts, primed,
+)
+from brts.parser import parse_formula, parse_program
+from brts.presburger import TRUE, Const, Var, conj, eq, evaluate, le
+from brts.syntax import state_table
+
+from counters_oracle import reference_simulation, reference_successors
+
+ROOT = Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
+
+# program-side finals per case, as `brts simulate` would be asked for them
+FINALS = {"prodcons": ("state", "OpenBuffer"), "dyck": ("formula", "n == m")}
+
+
+def same_outcome(got, want) -> None:
+    assert type(got) is type(want)
+    if isinstance(want, SimulationRelation):
+        assert got.pairs == want.pairs
+    else:
+        assert got.steps == want.steps
+        assert got.reason == want.reason
+
+
+# ---------------------------------------------------------------------------
+# simulation
+# ---------------------------------------------------------------------------
+
+def random_lts(rng: random.Random, tag: str) -> Lts:
+    states = [LtsState(tag, (i,)) for i in range(rng.randint(1, 6))]
+    lts = Lts(("c0",), states[0], states=states)
+    for s in states:
+        moves = tuple((rng.choice("abc"), rng.choice(states))
+                      for _ in range(rng.randint(0, 4)))
+        if moves or rng.random() < 0.5:
+            lts.transitions[s] = moves
+        lts.actions.update(a for a, _ in moves)
+    lts.finals = {s for s in states if rng.random() < 0.4}
+    return lts
+
+
+def test_simulation_matches_reference_on_random_lts():
+    rng = random.Random(20240611)
+    outcomes = {"relation": 0, "final": 0, "no move": 0, "longer": 0}
+    for _ in range(600):
+        sim, simulated = random_lts(rng, "p"), random_lts(rng, "q")
+        want = reference_simulation(sim, simulated)
+        same_outcome(check_simulation(sim, simulated), want)
+        if isinstance(want, SimulationRelation):
+            outcomes["relation"] += 1
+        else:
+            outcomes["final" if "final" in want.reason else "no move"] += 1
+            outcomes["longer"] += len(want.steps) > 1
+    # the sample exercises every way the check can end
+    assert all(n >= 20 for n in outcomes.values()), outcomes
+
+
+def corpus_lts(case: str, bound: int, drop: str | None = None) -> tuple[Lts, Lts]:
+    """(program LTS, machine LTS) of a corpus case at a bound."""
+    program = parse_program((CORPUS / case / "good.brts").read_text())
+    table = state_table(program)
+    initial = initial_instance_of(program)
+    kind, value = FINALS.get(case, (None, None))
+    if kind == "state":
+        final = lambda s, v: table.is_substate(s, value)
+    elif kind == "formula":
+        formula = parse_formula(value)
+        coords = table.find_family(initial.family).coord_vars
+        final = lambda s, v: evaluate(formula, dict(zip(coords, v)))
+    else:
+        final = lambda s, v: True
+    kept = [a for a in annotations_of_program(table) if a.label != drop]
+    br = brts_to_lts(kept, initial, bound, table=table, final=final)
+    return br, mca_to_lts(load_machine(CORPUS / case / "machine.mca"), bound)
+
+
+@pytest.mark.parametrize("bound", [3, 6, 9])
+@pytest.mark.parametrize("case", ["anbn", "arraybounds", "dyck", "inevitability",
+                                  "prodcons", "train"])
+def test_simulation_matches_reference_on_corpus(case, bound):
+    br, machine = corpus_lts(case, bound)
+    for sim, simulated in [(br, machine), (machine, br), (machine, machine)]:
+        same_outcome(check_simulation(sim, simulated),
+                     reference_simulation(sim, simulated))
+
+
+@pytest.mark.parametrize("bound", [3, 6, 9])
+@pytest.mark.parametrize("case, label", [
+    ("prodcons", "open"), ("prodcons", "produce"), ("prodcons", "consume"),
+    ("prodcons", "close"), ("dyck", "PushL"), ("dyck", "PushR"), ("dyck", "PushLR"),
+])
+def test_deletion_counterexample_matches_reference(case, label, bound):
+    br, machine = corpus_lts(case, bound, drop=label)
+    got = check_simulation(br, machine)
+    assert isinstance(got, Counterexample)
+    same_outcome(got, reference_simulation(br, machine))
+
+
+# ---------------------------------------------------------------------------
+# machine successors
+# ---------------------------------------------------------------------------
+
+def random_guard(rng: random.Random, counters: tuple[str, ...]):
+    names = list(counters) + [primed(c) for c in counters]
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        chosen = rng.sample(names, rng.randint(1, 2))
+        lhs = Var(chosen[0]) if rng.random() < 0.5 else -Var(chosen[0])
+        shift = Const(rng.randint(-2, 2))
+        rhs = Var(chosen[1]) + shift if len(chosen) == 2 else shift
+        atoms.append(eq(lhs, rhs) if rng.random() < 0.6 else le(lhs, rhs))
+    return conj(*atoms) if atoms else TRUE
+
+
+def test_successors_match_reference_on_random_guards():
+    rng = random.Random(7)
+    for _ in range(150):
+        counters = ("x", "y", "z")[:rng.randint(1, 3)]
+        transitions = tuple(
+            Transition(rng.choice("ab"), f"t{k}", random_guard(rng, counters),
+                       rng.choice("ab"))
+            for k in range(rng.randint(1, 4)))
+        machine = CounterMachine("random", ("a", "b"), "a", counters,
+                                 (0,) * len(counters), transitions)
+        bound = rng.randint(0, 2)
+        for _ in range(4):
+            valuation = tuple(rng.randint(-bound, bound) for _ in counters)
+            for state in ("a", "b"):
+                assert (list(machine.successors(state, valuation, bound))
+                        == reference_successors(machine, state, valuation, bound))
+
+
+@pytest.mark.parametrize("bound", [3, 6, 9])
+def test_successors_match_reference_on_corpus(bound):
+    for path in sorted(CORPUS.glob("*/*.mca")):
+        machine = load_machine(path)
+        if any(abs(v) > bound for v in machine.init_valuation):
+            continue
+        for s in mca_to_lts(machine, bound).states:
+            assert (list(machine.successors(s.control, s.valuation, bound))
+                    == reference_successors(machine, s.control, s.valuation, bound)), path
+
+
+# ---------------------------------------------------------------------------
+# flatness
+# ---------------------------------------------------------------------------
+
+def flat_by_cycle_count(states: list[str], edges: list[tuple[str, str]]) -> bool:
+    """Enumerate every elementary cycle, parallel edges apart, from its
+    first state in `states` order; flat iff no state lies on two."""
+    order = {s: i for i, s in enumerate(states)}
+    through = dict.fromkeys(states, 0)
+
+    def extend(start: str, node: str, path: list[str]) -> None:
+        for src, dst in edges:
+            if src != node:
+                continue
+            if dst == start:
+                for s in path:
+                    through[s] += 1
+            elif order[dst] > order[start] and dst not in path:
+                extend(start, dst, path + [dst])
+
+    for s in states:
+        extend(s, s, [s])
+    return all(n <= 1 for n in through.values())
+
+
+def test_is_flat_matches_cycle_enumeration():
+    rng = random.Random(3000)
+    seen = set()
+    for _ in range(3000):
+        states = [f"s{i}" for i in range(rng.randint(1, 5))]
+        edges = [(rng.choice(states), rng.choice(states))
+                 for _ in range(rng.randint(0, 7))]
+        machine = CounterMachine("g", tuple(states), states[0], ("x",), (0,),
+                                 tuple(Transition(u, f"t{k}", TRUE, v)
+                                       for k, (u, v) in enumerate(edges)))
+        want = flat_by_cycle_count(states, edges)
+        assert is_flat(machine) == want, edges
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_cli_import_leaves_out_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, brts.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
