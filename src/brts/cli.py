@@ -22,7 +22,7 @@ from .counters import (
 from .diagnostics import BrtsError, Diagnostic
 from .interp import IndexedV, BoolV, IntV, ObjV, RuntimeErr, StrV, UnitV, run_program
 from .parser import parse_formula, parse_program
-from .presburger import TRUE
+from .presburger import eliminate_quantifiers, evaluate, free_vars
 from .printer import print_program
 from . import syntax as ast
 from .syntax import InstanceType, PermPair, state_table
@@ -253,13 +253,22 @@ def cmd_simulate(args) -> int:
         return EXIT_PARSE
 
     if args.final_state:
+        if args.final_state not in table:
+            print(f"{args.program}: error: final state '{args.final_state}' is not "
+                  f"declared", file=sys.stderr)
+            return EXIT_PARSE
         final = lambda s, v: table.is_substate(s, args.final_state)
     elif args.final_formula:
         formula = parse_formula(args.final_formula)
         fam = table.find_family(initial.family) if initial.family else None
         coords = fam.coord_vars if fam else ()
-        from .presburger import evaluate
-        final = lambda s, v: evaluate(formula, dict(zip(coords, v)))
+        unknown = sorted(free_vars(formula) - set(coords))
+        if unknown:
+            print(f"{args.program}: error: final formula mentions names that are not "
+                  f"coordinates of the initial object: {unknown}", file=sys.stderr)
+            return EXIT_PARSE
+        ground = eliminate_quantifiers(formula)
+        final = lambda s, v: evaluate(ground, dict(zip(coords, v)))
     else:
         final = lambda s, v: True
 

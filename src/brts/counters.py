@@ -715,8 +715,17 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
                 states.append(rest)
             elif head == "init":
                 parts = rest.split()
+                if not parts:
+                    raise MachineError("ParseError",
+                                       f"{name}:{lineno}: init expects a state and "
+                                       f"the counters' initial values")
+                try:
+                    init_val = tuple(int(x) for x in parts[1:])
+                except ValueError:
+                    raise MachineError("ParseError",
+                                       f"{name}:{lineno}: init values must be integers, "
+                                       f"got '{' '.join(parts[1:])}'") from None
                 initial = parts[0]
-                init_val = tuple(int(x) for x in parts[1:])
             elif head == "final":
                 finals.update(rest.split())
             elif head == "invariant":

@@ -59,9 +59,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start = Span(line, col)
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("int", source[i:j], Span(line, col, line, col + (j - i) - 1)))
             col += j - i

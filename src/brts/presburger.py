@@ -5,6 +5,11 @@ built from comparison atoms with conjunction, disjunction, negation and
 existential quantification, and are decided by Cooper-style quantifier
 elimination.  All coefficients are Python ints, so nothing overflows.
 
+Before any Cooper step, the decision procedure solves a conjunction's
+equalities with a unit coefficient (``x - t == 0``) by substitution, as the
+first stage of Pugh's Omega test does: all of them in one pass, rewriting
+only the conjuncts that mention each solved variable.
+
 Atoms are kept in a small normal form: ``t <= 0``, ``t == 0`` and the
 divisibility constraint ``d | t``.  Divisibility atoms never come from
 source programs; they only arise inside quantifier elimination and stay
@@ -13,6 +18,7 @@ internal to this module (the parser has no syntax for them).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional
@@ -711,25 +717,28 @@ def _minus_inf(f: Formula, var: str) -> Formula:
     return map_atoms(f, on_atom)
 
 
+def _subst_atom(a: Formula, var: str, value: Lin) -> Formula:
+    """The atom with value put for var, folded."""
+    if isinstance(a, (TrueF, FalseF)):
+        return a
+    lin = _atom_lin(a)
+    if lin.coeff(var) == 0:
+        return a
+    new = lin.subst(var, value)
+    match a:
+        case Le(_):
+            return _fold_atom(Le(new))
+        case EqZ(_):
+            return _fold_atom(EqZ(new))
+        case Dvd(d, _):
+            return _fold_atom(Dvd(d, new))
+        case NotDvd(d, _):
+            return _fold_atom(NotDvd(d, new))
+    raise TypeError(f"unexpected atom {a!r}")
+
+
 def _subst_var(f: Formula, var: str, value: Lin) -> Formula:
-    def on_atom(a: Formula) -> Formula:
-        if isinstance(a, (TrueF, FalseF)):
-            return a
-        lin = _atom_lin(a)
-        if lin.coeff(var) == 0:
-            return a
-        new = lin.subst(var, value)
-        match a:
-            case Le(_):
-                return _fold_atom(Le(new))
-            case EqZ(_):
-                return _fold_atom(EqZ(new))
-            case Dvd(d, _):
-                return _fold_atom(Dvd(d, new))
-            case NotDvd(d, _):
-                return _fold_atom(NotDvd(d, new))
-        raise TypeError(f"unexpected atom {a!r}")
-    return simplify(map_atoms(f, on_atom))
+    return simplify(map_atoms(f, lambda a: _subst_atom(a, var, value)))
 
 
 @dataclass(frozen=True)
@@ -855,9 +864,10 @@ def _conjuncts(f: Formula) -> tuple[Formula, ...]:
     return f.parts if isinstance(f, And) else (f,)
 
 
-def _solved_unit_equality(f: Formula) -> Optional[tuple[str, Lin]]:
-    """A conjunct ``lin == 0`` with a unit coefficient pins its variable."""
-    for a in _conjuncts(f):
+def _unit_pivot(parts: Iterable[Formula]) -> Optional[tuple[str, Lin]]:
+    """The first conjunct ``lin == 0`` with a unit coefficient pins the
+    first such variable of ``lin``, to the returned term."""
+    for a in parts:
         if isinstance(a, EqZ):
             for v, c in a.lin.coeffs.items():
                 if c == 1:
@@ -867,6 +877,77 @@ def _solved_unit_equality(f: Formula) -> Optional[tuple[str, Lin]]:
     return None
 
 
+def _solve_unit_equalities(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
+    """Eliminate every top-level unit equality of a simplified conjunction.
+
+    Each round takes the pivot `_unit_pivot` finds in the current
+    conjuncts and puts its term for its variable in the conjuncts that
+    mention the variable; the others stay as they are.  A rewritten
+    conjunct keeps its place, a conjunction it folds to is spliced in there,
+    and of two equal conjuncts the earlier one stays, so each round leaves
+    the formula that substituting into the whole conjunction and
+    simplifying it would.  Positions are sortable keys, and an index from
+    variables to the conjuncts that mention them keeps a round's cost to
+    the conjuncts it rewrites.  Rounds stop when no unit equality is left,
+    or at the first conjunct that folds to false.
+
+    Returns the remaining formula and the substitutions in the order they
+    were made.  A model of the remaining formula extends to one of f by
+    evaluating the substitutions in reverse.
+    """
+    if _unit_pivot(_conjuncts(f)) is None:
+        return f, []
+    alive: dict[tuple[int, ...], tuple[Formula, frozenset[str]]] = {}
+    key_of: dict[Formula, tuple[int, ...]] = {}
+    users: dict[str, set[tuple[int, ...]]] = {}
+    pivots: list[tuple[int, ...]] = []
+
+    def remove(key: tuple[int, ...]) -> Formula:
+        p, names = alive.pop(key)
+        del key_of[p]
+        for v in names:
+            users[v].discard(key)
+        return p
+
+    def add(key: tuple[int, ...], p: Formula) -> None:
+        other = key_of.get(p)
+        if other is not None:
+            if other < key:
+                return
+            remove(other)
+        names = free_vars(p)
+        alive[key] = (p, names)
+        key_of[p] = key
+        for v in names:
+            users.setdefault(v, set()).add(key)
+        if isinstance(p, EqZ):
+            heapq.heappush(pivots, key)
+
+    for i, p in enumerate(_conjuncts(f)):
+        add((i,), p)
+    solved: list[tuple[str, Lin]] = []
+    while pivots:
+        entry = alive.get(pivots[0])
+        pivot = _unit_pivot((entry[0],)) if entry else None
+        if pivot is None:
+            heapq.heappop(pivots)
+            continue
+        var, value = pivot
+        solved.append(pivot)
+        rewritten = [(k, remove(k)) for k in sorted(users[var])]
+        del users[var]
+        for key, p in rewritten:
+            q = map_atoms(p, lambda a: _subst_atom(a, var, value))
+            if q == FALSE:
+                return FALSE, solved
+            if isinstance(q, And):
+                for j, r in enumerate(q.parts):
+                    add(key + (j,), r)
+            elif q != TRUE:
+                add(key, q)
+    return conj(*(alive[k][0] for k in sorted(alive))), solved
+
+
 def _obviously_contradictory(f: Formula) -> bool:
     """Cheap syntactic check: a conjunct and its exact complement."""
     les = {a.lin for a in _conjuncts(f) if isinstance(a, Le)}
@@ -874,6 +955,13 @@ def _obviously_contradictory(f: Formula) -> bool:
 
 
 def _sat_qf(f: Formula) -> bool:
+    """Decide a quantifier-free formula in negation normal form.
+
+    Disjunctions split.  A conjunction first loses all its unit equalities
+    to `_solve_unit_equalities` in one pass and is decided afresh; then it
+    splits on its smallest disjunctive conjunct; a conjunction of atoms
+    eliminates its least used variable with Cooper's method.
+    """
     f = simplify(f)
     if f == TRUE:
         return True
@@ -885,9 +973,9 @@ def _sat_qf(f: Formula) -> bool:
         return any(_sat_qf(p) for p in f.parts)
     if _obviously_contradictory(f):
         return False
-    solved = _solved_unit_equality(f)
-    if solved is not None:
-        return _sat_qf(_subst_var(f, solved[0], solved[1]))
+    rest, solved = _solve_unit_equalities(f)
+    if solved:
+        return _sat_qf(rest)
     if isinstance(f, And):
         # distribute over the smallest disjunctive conjunct, lazily
         ors = [p for p in f.parts if isinstance(p, Or)]
@@ -1003,15 +1091,15 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
         return None
     if _obviously_contradictory(f):
         return None
-    solved = _solved_unit_equality(f)
-    if solved is not None:
-        v, value = solved
-        m = _witness_qf(simplify(_subst_var(f, v, value)))
+    rest, solved = _solve_unit_equalities(f)
+    if solved:
+        m = _witness_qf(simplify(rest))
         if m is None:
             return None
-        for w in value.variables():
-            m.setdefault(w, 0)
-        m[v] = value.evaluate(m)
+        for v, value in reversed(solved):
+            for w in value.variables():
+                m.setdefault(w, 0)
+            m[v] = value.evaluate(m)
         return m
     if isinstance(f, And):
         ors = [p for p in f.parts if isinstance(p, Or)]

@@ -1,0 +1,154 @@
+"""Reference implementation of the solver's quantifier-free core, kept as an
+oracle for the one-pass unit-equality elimination in `brts.presburger`.
+
+`reference_is_satisfiable` and `reference_witness` remove one unit
+equality per recursion: substitute it with `_subst_var`, simplify, recurse,
+and on the way back evaluate the solved variable from the model below.
+Everything else (Cooper branches, disjunction splitting, the contradiction
+check) is the module's own code.  Slow on long equality chains and
+obviously faithful, which is what an oracle is for.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from brts.presburger import (
+    EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
+    _obviously_contradictory, _pick_var, _subst_var, conj, eliminate_quantifiers,
+    evaluate, free_vars, nnf, simplify,
+)
+
+
+def reference_is_satisfiable(f: Formula) -> bool:
+    return reference_sat_qf(nnf(eliminate_quantifiers(f)))
+
+
+def reference_witness(f: Formula) -> Optional[dict[str, int]]:
+    qf = nnf(eliminate_quantifiers(f))
+    model = reference_witness_qf(simplify(qf))
+    if model is None:
+        return None
+    for v in free_vars(qf):
+        model.setdefault(v, 0)
+    assert evaluate(qf, model)
+    return model
+
+
+def solved_unit_equality(f: Formula) -> Optional[tuple[str, Lin]]:
+    """A conjunct ``lin == 0`` with a unit coefficient pins its variable."""
+    for a in _conjuncts(f):
+        if isinstance(a, EqZ):
+            for v, c in a.lin.coeffs.items():
+                if c == 1:
+                    return v, a.lin.drop(v).scale(-1)
+                if c == -1:
+                    return v, a.lin.drop(v)
+    return None
+
+
+def reference_unit_rounds(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
+    """The unit-equality rounds of `reference_sat_qf` without its other
+    steps: substitute one pivot into the whole formula and simplify, until
+    the formula has no conjunct to pivot on."""
+    solved: list[tuple[str, Lin]] = []
+    while True:
+        f = simplify(f)
+        pivot = solved_unit_equality(f)
+        if pivot is None:
+            return f, solved
+        solved.append(pivot)
+        f = _subst_var(f, *pivot)
+
+
+def reference_sat_qf(f: Formula) -> bool:
+    f = simplify(f)
+    if f == TRUE:
+        return True
+    if f == FALSE:
+        return False
+    if isinstance(f, Not):
+        return reference_sat_qf(nnf(f))
+    if isinstance(f, Or):
+        return any(reference_sat_qf(p) for p in f.parts)
+    if _obviously_contradictory(f):
+        return False
+    solved = solved_unit_equality(f)
+    if solved is not None:
+        return reference_sat_qf(_subst_var(f, solved[0], solved[1]))
+    if isinstance(f, And):
+        ors = [p for p in f.parts if isinstance(p, Or)]
+        if ors:
+            branch = min(ors, key=lambda p: len(p.parts))
+            rest = conj(*(p for p in f.parts if p is not branch))
+            return any(reference_sat_qf(conj(rest, alt)) for alt in branch.parts)
+        nots = [p for p in f.parts if isinstance(p, Not)]
+        if nots:
+            return reference_sat_qf(conj(*(nnf(p) for p in f.parts)))
+    v = _pick_var(f)
+    return any(reference_sat_qf(b.formula) for b in _cooper_branches(v, f))
+
+
+def reference_witness_qf(f: Formula) -> Optional[dict[str, int]]:
+    if f == TRUE:
+        return {}
+    if f == FALSE:
+        return None
+    if isinstance(f, Not):
+        return reference_witness_qf(simplify(nnf(f)))
+    if isinstance(f, Or):
+        for p in f.parts:
+            m = reference_witness_qf(simplify(p))
+            if m is not None:
+                return m
+        return None
+    if _obviously_contradictory(f):
+        return None
+    solved = solved_unit_equality(f)
+    if solved is not None:
+        v, value = solved
+        m = reference_witness_qf(simplify(_subst_var(f, v, value)))
+        if m is None:
+            return None
+        for w in value.variables():
+            m.setdefault(w, 0)
+        m[v] = value.evaluate(m)
+        return m
+    if isinstance(f, And):
+        ors = [p for p in f.parts if isinstance(p, Or)]
+        if ors:
+            branch = min(ors, key=lambda p: len(p.parts))
+            rest = conj(*(p for p in f.parts if p is not branch))
+            for alt in branch.parts:
+                m = reference_witness_qf(simplify(conj(rest, alt)))
+                if m is not None:
+                    return m
+            return None
+        if any(isinstance(p, Not) for p in f.parts):
+            return reference_witness_qf(simplify(conj(*(nnf(p) for p in f.parts))))
+    v = _pick_var(f)
+    for b in _cooper_branches(v, f):
+        m = reference_witness_qf(simplify(b.formula))
+        if m is None:
+            continue
+        for w in free_vars(b.formula):
+            m.setdefault(w, 0)
+        if b.exact is not None:
+            for w in b.exact.variables():
+                m.setdefault(w, 0)
+            scaled = b.exact.evaluate(m)
+        else:
+            vals = []
+            for bound in b.bounds:
+                for w in bound.variables():
+                    m.setdefault(w, 0)
+                vals.append(bound.evaluate(m))
+            if vals:
+                top = min(vals) - 1
+                scaled = top - ((top - b.residue) % b.period)
+            else:
+                scaled = b.residue
+        assert scaled % b.delta == 0, "elimination lost the scaling constraint"
+        m[v] = scaled // b.delta
+        return m
+    return None

@@ -283,3 +283,58 @@ def test_explain_malformed_position_exits_two():
     out = brts("explain", "corpus/prodcons/fig6.brts", "--at", "x")
     assert out.returncode == 2
     assert out.stderr == "error: --at expects LINE:COL\n"
+
+
+# ---------------------------------------------------------------------------
+# lexing, machine files and simulate options
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [("check",), ("fmt",), ("run", "--unchecked")])
+def test_non_ascii_digit_is_a_lex_error(tmp_path, args):
+    program = tmp_path / "superscript.brts"
+    program.write_text("state Main {\n    void main()[] {\n        var x = 1²;\n"
+                       "    }\n}\n", encoding="utf-8")
+    out = brts(*args, str(program))
+    assert out.returncode == 2
+    assert out.stderr == (f"{program}:3:18: error: unexpected character "
+                          f"'²' [BRTS001]\n")
+
+
+@pytest.mark.parametrize("init, reason", [
+    ("init", "init expects a state and the counters' initial values"),
+    ("init q1 0 zero", "init values must be integers, got '0 zero'"),
+])
+@pytest.mark.parametrize("args", [
+    ("reach", "{machine}", "--bad", "p > 0"),
+    ("simulate", "{machine}", "corpus/prodcons/good.brts"),
+    ("export-lts", "{machine}"),
+])
+def test_malformed_init_line_is_a_located_exit_two(tmp_path, init, reason, args):
+    machine = tmp_path / "bad.mca"
+    machine.write_text(f"counters p c\nstate q1\n{init}\n")
+    out = brts(*(a.format(machine=machine) for a in args))
+    assert out.returncode == 2
+    assert out.stderr == f"{machine}: error: bad:3: {reason}\n"
+
+
+@pytest.mark.parametrize("option, reason", [
+    (("--final-formula", "z == 1"),
+     "final formula mentions names that are not coordinates of the initial "
+     "object: ['z']"),
+    (("--final-state", "Nope"), "final state 'Nope' is not declared"),
+])
+def test_simulate_rejects_unknown_finals(option, reason):
+    out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",
+               "--bound", "2", *option)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"corpus/dyck/good.brts: error: {reason}\n"
+
+
+def test_simulate_quantified_final_formula():
+    out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",
+               "--bound", "3", "--final-formula", "exists k. k == n && k == m")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == brts("simulate", "corpus/dyck/machine.mca",
+                              "corpus/dyck/good.brts", "--bound", "3",
+                              "--final-formula", "n == m").stdout
