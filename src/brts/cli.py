@@ -14,11 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from .counters import (
-    Counterexample, MachineError, annotations_of_program, brts_to_lts,
-    check_simulation, load_machine, lts_to_dot, mca_to_lts, reach_violation,
-    witness_to_json,
-)
 from .diagnostics import BrtsError, Diagnostic
 from .interp import IndexedV, BoolV, IntV, ObjV, RuntimeErr, StrV, UnitV, run_program
 from .parser import parse_formula, parse_program
@@ -195,7 +190,7 @@ def cmd_run(args) -> int:
             print(d.render(str(path)), file=sys.stderr)
         if code != EXIT_OK:
             return code
-        program = parse_program(source, str(path))
+        program = checker.program
     try:
         value, interp, _ = run_program(program, mode=args.mode, fuel=args.fuel,
                                        trace=args.trace)
@@ -214,23 +209,20 @@ def initial_instance_of(program: ast.Program) -> InstanceType | None:
     """First dependently-declared object in the program's main method."""
     table = state_table(program)
     main = table.states[table.main_state].methods["main"]
-
-    def walk(e) -> InstanceType | None:
-        match e:
-            case ast.Let(_, declared, _, body, _, _):
-                inner = declared.inner if isinstance(declared, PermPair) else declared
-                if isinstance(inner, InstanceType) and inner.args:
-                    return inner
-                return walk(body)
-            case ast.Seq(first, second):
-                return walk(first) or walk(second)
-            case _:
-                return None
-
-    return walk(main.body) if main.body is not None else None
+    if main.body is None:
+        return None
+    for stmt in main.body.stmts:
+        if isinstance(stmt, ast.VarDecl):
+            declared = stmt.declared
+            inner = declared.inner if isinstance(declared, PermPair) else declared
+            if isinstance(inner, InstanceType) and inner.args:
+                return inner
+    return None
 
 
 def cmd_simulate(args) -> int:
+    from .counters import (Counterexample, MachineError, annotations_of_program,
+                           brts_to_lts, check_simulation, load_machine, mca_to_lts)
     try:
         machine = load_machine(args.machine)
     except (MachineError, OSError) as err:
@@ -243,10 +235,9 @@ def cmd_simulate(args) -> int:
         for d in diags:
             print(d.render(args.program), file=sys.stderr)
         return code
-    program = parse_program(source, args.program)
     table = checker.st
     annotations = annotations_of_program(table)
-    initial = initial_instance_of(program)
+    initial = initial_instance_of(checker.program)
     if initial is None:
         print(f"{args.program}: error: main declares no dependent typestate "
               f"to start from", file=sys.stderr)
@@ -305,6 +296,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from .counters import (MachineError, load_machine, reach_violation, witness_to_dot,
+                           witness_to_json)
     try:
         machine = load_machine(args.machine)
         bad = parse_formula(args.bad)
@@ -316,7 +309,6 @@ def cmd_reach(args) -> int:
     elif path is None:
         print("no violation reachable within the bound")
     else:
-        from .counters import witness_to_dot
         if args.dot:
             print(witness_to_dot(path))
         else:
@@ -381,6 +373,7 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_export_lts(args) -> int:
+    from .counters import MachineError, load_machine, lts_to_dot, mca_to_lts
     try:
         machine = load_machine(args.machine)
         lts = mca_to_lts(machine, args.bound)

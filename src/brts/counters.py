@@ -738,7 +738,7 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
                 transitions.append(Transition(src.strip(), label.strip(),
                                               guard, dst.strip()))
             else:
-                raise MachineError("ParseError", f"unknown directive '{head}'")
+                raise MachineError("ParseError", f"{name}:{lineno}: unknown directive '{head}'")
         except BrtsError as err:
             raise MachineError("ParseError",
                                f"{name}:{lineno}: {err.diagnostic.message}") from err

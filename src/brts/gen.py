@@ -82,7 +82,8 @@ def _method_decl(spec: GenSpec, m: GenMethod) -> ast.MethodDecl:
                              m.post_state)
     change = ChangeType(PermPair(1, pre_inst), PermPair(1, post_inst))
     body = ast.Update(ast.VarRef("w"), ast.TypestateLit(1, post_inst))
-    return ast.MethodDecl(VOID, m.name, (ast.Param("w", change),), (), body)
+    return ast.MethodDecl(VOID, m.name, (ast.Param("w", change),), (),
+                          ast.Block((body,)))
 
 
 class _Driver:
@@ -122,7 +123,7 @@ class _Driver:
             if depth > 0 and roll < 0.2:
                 out.append(self.match_stmt(depth, budget))
             elif depth > 0 and roll < 0.35:
-                # a binding scopes over the rest of the block, as parsed
+                # a binding scopes over the rest of the block
                 self.fresh += 1
                 name = f"v{self.fresh}"
                 init = self.rng.choice([
@@ -130,8 +131,8 @@ class _Driver:
                     ast.BoolLit(self.rng.choice([True, False])),
                     ast.StrLit("s"),
                 ])
-                rest = self.statements(depth - 1, budget)
-                out.append(ast.Let(name, None, init, _seq(rest), mutable=False))
+                out.append(ast.VarDecl(name, None, init, mutable=False))
+                out.extend(self.statements(depth - 1, budget))
                 break
             else:
                 out.append(self.call_or_noise())
@@ -156,38 +157,14 @@ class _Driver:
         if entry_state != self.spec.root:
             live_states.append(self.spec.root)
         arm_state = self.rng.choice(live_states)
-        body = _seq(self.statements(depth - 1, budget))
+        body = ast.Block(tuple(self.statements(depth - 1, budget)))
         arms.append(ast.MatchArm(arm_state, body))
         others = [s for s in self.states if s not in (arm_state, self.spec.root)]
         if others and self.rng.random() < 0.5:
             dead = self.rng.choice(others)
             if not self._substate(entry_state, dead) and not self._substate(dead, entry_state):
-                arms.insert(self.rng.randint(0, 1), ast.MatchArm(dead, ast.Skip()))
+                arms.insert(self.rng.randint(0, 1), ast.MatchArm(dead, ast.Block(())))
         return ast.Match(ast.VarRef("w"), self.spec.root, tuple(arms), None)
-
-
-def _seq(stmts: list[ast.Expr]) -> ast.Expr:
-    if not stmts:
-        return ast.Skip()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = ast.Seq(s, out)
-    return out
-
-
-def _append(e: ast.Expr, last: ast.Expr) -> ast.Expr:
-    """Append a trailing statement, descending into binding scopes so the
-    result stays expressible as a block."""
-    from dataclasses import replace
-    match e:
-        case ast.Skip():
-            return last
-        case ast.Let():
-            return replace(e, body=_append(e.body, last))
-        case ast.Seq(first, second):
-            return ast.Seq(first, _append(second, last))
-        case _:
-            return ast.Seq(e, last)
 
 
 def synthesize_program(rng: random.Random, index: int = 0,
@@ -210,16 +187,18 @@ def synthesize_program(rng: random.Random, index: int = 0,
 
     driver = _Driver(spec, rng, [spec.root] + spec.children)
     budget = [depth * 3]
-    body = _append(_seq(driver.statements(depth, budget)), ast.VarRef("w"))
+    stmts = driver.statements(depth, budget)
 
     init_inst = InstanceType(spec.family,
                              tuple(Const(v) for v in spec.initial),
                              TRUE, spec.initial_state)
-    main_body = ast.Let(
-        "ops", PermPair(1, ast.WildcardType()), ast.NewObj(f"Ops{index}", None),
-        ast.Let("w", PermPair(1, init_inst), ast.NewObj(spec.initial_state, None),
-                body),
-    )
+    main_body = ast.Block((
+        ast.VarDecl("ops", PermPair(1, ast.WildcardType()),
+                    ast.NewObj(f"Ops{index}", None)),
+        ast.VarDecl("w", PermPair(1, init_inst), ast.NewObj(spec.initial_state, None)),
+        *stmts,
+        ast.VarRef("w"),
+    ))
     states.append(ast.StateDecl(
         "Main", None,
         (ast.MethodDecl(VOID, "main", (), (), main_body),)))

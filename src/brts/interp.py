@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .diagnostics import NO_SPAN, Span
+from .diagnostics import NO_SPAN, BrtsError, Span
 from .presburger import Lin
 from . import syntax as ast
 from .syntax import (
@@ -152,9 +152,24 @@ class Store:
 
     def bind(self, name: str, value: Value) -> None:
         if isinstance(value, (ObjV, Loc, IndexedV)):
+            self.delta.pop(name, None)
             self.theta[name] = value
         else:
+            self.theta.pop(name, None)
             self.delta[name] = value
+
+    def saved(self, name: str) -> tuple[Optional[Value], Optional[Value]]:
+        """What `restore` needs to put name's binding back."""
+        return self.theta.get(name), self.delta.get(name)
+
+    def restore(self, name: str, saved: tuple[Optional[Value], Optional[Value]]) -> None:
+        self.theta.pop(name, None)
+        self.delta.pop(name, None)
+        theta, delta = saved
+        if theta is not None:
+            self.theta[name] = theta
+        if delta is not None:
+            self.delta[name] = delta
 
     def lookup(self, name: str) -> Optional[Value]:
         if name in self.delta:
@@ -274,8 +289,6 @@ class Interp:
             case ast.StrLit(v):
                 self._emit("const", e.span)
                 return StrV(v), store
-            case ast.Skip():
-                return UNIT, store
             case ast.VarRef(name, span):
                 value = store.lookup(name)
                 if value is None:
@@ -306,16 +319,17 @@ class Interp:
                                      f"object has no field '{name}'", span)
                 self._emit("de-ref", span, field=name)
                 return value, store
-            case ast.Seq(first, second):
-                _, store = self.eval(store, first)
-                return self.eval(store, second)
-            case ast.Let(name, declared, init, body, _, span):
+            case ast.Block(stmts):
+                return self.eval_block(store, stmts)
+            case ast.Let(name, init, body, span):
                 value, store = self.eval(store, init)
-                if isinstance(init, ast.NewObj) and declared is not None:
-                    value = self._adopt_declared(value, declared, span)
+                shadowed = store.saved(name)
                 store.bind(name, value)
                 self._emit("let", span, name=name)
-                return self.eval(store, body)
+                value, store = self.eval(store, body)
+                if shadowed != (None, None):
+                    store.restore(name, shadowed)
+                return value, store
             case ast.FieldAssign(target, name, value_e, body, span):
                 value, store = self.eval(store, value_e)
                 obj = self._deref(self._lookup(store, target, span), span)
@@ -340,6 +354,29 @@ class Interp:
             case ast.While():
                 return self.eval_while(store, e)
         raise RuntimeErr("UnboundRuntimeName", f"cannot evaluate {e!r}")
+
+    def eval_block(self, store: Store, stmts: tuple[ast.Expr, ...]) -> tuple[Value, Store]:
+        """Each declaration binds over the rest of the block; when the block
+        ends, every binding a declaration shadowed is put back."""
+        shadowed: dict[str, tuple[Optional[Value], Optional[Value]]] = {}
+        value: Value = UNIT
+        for stmt in stmts:
+            if isinstance(stmt, ast.VarDecl):
+                self._spend(stmt.span)
+                value, store = self.eval(store, stmt.init)
+                if isinstance(stmt.init, ast.NewObj) and stmt.declared is not None:
+                    value = self._adopt_declared(value, stmt.declared, stmt.span)
+                if stmt.name not in shadowed:
+                    shadowed[stmt.name] = store.saved(stmt.name)
+                store.bind(stmt.name, value)
+                self._emit("let", stmt.span, name=stmt.name)
+                value = UNIT
+            else:
+                value, store = self.eval(store, stmt)
+        for name, old in shadowed.items():
+            if old != (None, None):
+                store.restore(name, old)
+        return value, store
 
     def _lookup(self, store: Store, name: str, span: Span) -> Value:
         value = store.lookup(name)
@@ -395,7 +432,10 @@ class Interp:
     def eval_call(self, store: Store, e: ast.MethodCall) -> tuple[Value, Store]:
         recv, store = self.eval(store, e.recv)
         recv_obj = self._deref(recv, e.span)
-        defined_in, decl = find_method_decl(self.st, e.method, recv_obj.state)
+        try:
+            defined_in, decl = find_method_decl(self.st, e.method, recv_obj.state)
+        except BrtsError as err:
+            raise RuntimeErr("NoSuchMethod", str(err), e.span) from None
 
         arg_values: list[Value] = []
         for a in e.args:
@@ -418,10 +458,8 @@ class Interp:
                         if coeff == 1:
                             sigma.setdefault(var, coord)
 
-        saved = {}
         names = [p.name for p in decl.params] + ["this"]
-        for name in names:
-            saved[name] = (store.theta.get(name), store.delta.get(name))
+        saved = {name: store.saved(name) for name in names}
         for p, v in zip(decl.params, arg_values):
             store.bind(p.name, v)
         store.bind("this", recv_obj)
@@ -450,14 +488,8 @@ class Interp:
             if this_env:
                 this_out = self._apply_post(this_env[0].change, recv_obj, store, e.span)
 
-        for name in names:
-            th, de = saved[name]
-            store.theta.pop(name, None)
-            store.delta.pop(name, None)
-            if th is not None:
-                store.theta[name] = th
-            if de is not None:
-                store.delta[name] = de
+        for name, old in saved.items():
+            store.restore(name, old)
 
         for actual, out_v in zip(e.args, updated):
             if isinstance(actual, ast.VarRef) and out_v is not None:

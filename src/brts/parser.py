@@ -9,8 +9,8 @@ conjuncts), ``>>`` for transitions, ``->`` is reserved for function types,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from .diagnostics import BrtsError, Span
 from .presburger import (
@@ -32,81 +32,62 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # keyword | ident | int | string | symbol | eof
     lexeme: str
     span: Span
 
 
+# One alternative per token class, tried in this order; `error` matches any
+# character no other alternative starts with.  An identifier starts with a
+# letter, or with `_` followed by a word character; `[^\W\d_]` also admits
+# numeric non-digits such as `²`, which tokenize rejects after the match.
+TOKEN_RE = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<int>\d+)",
+    r"(?P<word>(?:[^\W\d_]|_(?=\w))\w*'?)",
+    r'(?P<string>"(?:[^"\\\n]|\\[\s\S])*")',
+    "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+    r"(?P<error>[\s\S])",
+]))
+ESCAPE_RE = re.compile(r"\\([\s\S])")
+ESCAPES = {"n": "\n", "t": "\t"}
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "space" or kind == "comment":
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start = Span(line, col)
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", source[i:j], Span(line, col, line, col + (j - i) - 1)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_" and i + 1 < n and (source[i + 1].isalnum() or source[i + 1] == "_"):
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j < n and source[j] == "'":
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, Span(line, col, line, col + (j - i) - 1)))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise BrtsError("LexError", "unterminated string literal", start)
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise BrtsError("LexError", "unterminated string literal", start)
-            tokens.append(Token("string", "".join(buf), Span(line, col, line, col + (j - i))))
-            col += j - i + 1
-            i = j + 1
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, Span(line, col, line, col + len(sym) - 1)))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise BrtsError("LexError", f"unexpected character {ch!r}", start)
-    tokens.append(Token("eof", "", Span(line, col)))
+        text = m.group()
+        col = m.start() - line_start + 1
+        span = Span(line, col, line, col + len(text) - 1)
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise BrtsError("LexError", f"unexpected character {text[0]!r}",
+                                Span(line, col))
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), text)
+        elif kind == "error":
+            message = ("unterminated string literal" if text == '"'
+                       else f"unexpected character {text!r}")
+            raise BrtsError("LexError", message, Span(line, col))
+        tokens.append(Token(kind, text, span))
+    # a comment that ends the input leaves the end column where it starts
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(source)
+    tokens.append(Token("eof", "", Span(line, end - line_start + 1)))
     return tokens
 
 
@@ -239,7 +220,7 @@ class Parser:
         self.expect("]")
         if self.at(";"):
             self.advance()
-            body: Optional[ast.Expr] = None
+            body: Optional[ast.Block] = None
         else:
             body = self.block()
         return ast.MethodDecl(ret, name, tuple(params), tuple(env), body, start)
@@ -434,27 +415,15 @@ class Parser:
 
     # -- statements and expressions ----------------------------------------
 
-    def block(self) -> ast.Expr:
+    def block(self) -> ast.Block:
         start = self.expect("{").span
-        body = self.stmt_seq()
+        stmts = []
+        while not self.at("}"):
+            stmts.append(self.stmt())
+            if self.at(";"):
+                self.advance()
         self.expect("}")
-        return body if body is not None else ast.Skip(start)
-
-    def stmt_seq(self) -> Optional[ast.Expr]:
-        if self.at("}"):
-            return None
-        first = self.stmt()
-        if self.at(";"):
-            self.advance()
-        if isinstance(first, _VarDeclMarker):
-            rest = self.stmt_seq()
-            body = rest if rest is not None else ast.Skip(first.span)
-            return ast.Let(first.name, first.declared, first.init, body,
-                           first.mutable, first.span)
-        rest = self.stmt_seq()
-        if rest is None:
-            return first
-        return ast.Seq(first, rest, first.span if hasattr(first, "span") else Span(0, 0))
+        return ast.Block(tuple(stmts), start)
 
     def stmt(self) -> ast.Expr:
         if self.at("let"):
@@ -467,7 +436,7 @@ class Parser:
             name = self.expect_ident().lexeme
             self.expect("=")
             init = self.expr()
-            return _VarDeclMarker(name, declared, init, tok.lexeme == "var", tok.span)
+            return ast.VarDecl(name, declared, init, tok.lexeme == "var", tok.span)
         if self.at("while"):
             return self.while_stmt()
         if self.at("match"):
@@ -499,11 +468,11 @@ class Parser:
         init = self.expr()
         self.expect("in")
         body = self._stmt_body()
-        return ast.Let(name, None, init, body, False, start)
+        return ast.Let(name, init, body, start)
 
     def _stmt_body(self) -> ast.Expr:
         body = self.stmt()
-        if isinstance(body, _VarDeclMarker):
+        if isinstance(body, ast.VarDecl):
             raise BrtsError("ParseError",
                             "a var/val declaration needs trailing statements; "
                             "it cannot be the whole body of let .. in",
@@ -623,16 +592,6 @@ class Parser:
             return ast.VarRef(tok.lexeme, tok.span)
         self.fail("expected an expression")
         raise AssertionError
-
-
-@dataclass(frozen=True)
-class _VarDeclMarker(ast.Expr):
-    """Internal: a var/val declaration before its trailing statements are folded in."""
-    name: str
-    declared: Optional[ast.Type]
-    init: ast.Expr
-    mutable: bool
-    span: Span
 
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:

@@ -1224,28 +1224,3 @@ def render(f: Formula, prec: int = 0) -> str:
             return f"({txt})" if prec > 0 else txt
     raise TypeError(f"not a formula: {f!r}")
 
-
-def debug_dump(f: Formula) -> str:
-    """Structural dump including internal divisibility atoms."""
-    match f:
-        case TrueF():
-            return "true"
-        case FalseF():
-            return "false"
-        case Le(lin):
-            return f"(<= {render_term(lin)} 0)"
-        case EqZ(lin):
-            return f"(== {render_term(lin)} 0)"
-        case Dvd(d, lin):
-            return f"(dvd {d} {render_term(lin)})"
-        case NotDvd(d, lin):
-            return f"(ndvd {d} {render_term(lin)})"
-        case And(parts):
-            return "(and " + " ".join(debug_dump(p) for p in parts) + ")"
-        case Or(parts):
-            return "(or " + " ".join(debug_dump(p) for p in parts) + ")"
-        case Not(body):
-            return f"(not {debug_dump(body)})"
-        case Exists(v, body):
-            return f"(exists {v} {debug_dump(body)})"
-    raise TypeError(f"not a formula: {f!r}")

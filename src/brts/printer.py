@@ -94,52 +94,23 @@ def print_formula_literal(args: tuple, constraint: Formula) -> str:
     return f"phi({', '.join(pieces)})"
 
 
-def print_block(e: ast.Expr, depth: int) -> str:
-    pad = INDENT * depth
-    stmts = list(_flatten(e))
-    if not stmts:
+def print_block(block: ast.Block, depth: int) -> str:
+    if not block.stmts:
         return "{ }"
     lines = ["{"]
-    for s in stmts:
-        if isinstance(s, _VarHead):
-            kw = "var" if s.let.mutable else "val"
-            ty = "" if s.let.declared is None else print_type(s.let.declared) + " "
-            lines.append(f"{INDENT * (depth + 1)}{kw} {ty}{s.let.name} = "
-                         f"{print_expr(s.let.init)};")
-        else:
-            lines.append(print_stmt(s, depth + 1) + ";")
-    lines.append(pad + "}")
+    lines.extend(print_stmt(s, depth + 1) + ";" for s in block.stmts)
+    lines.append(INDENT * depth + "}")
     return "\n".join(lines)
-
-
-@dataclasses.dataclass
-class _VarHead:
-    let: ast.Let
-
-
-def _flatten(e: ast.Expr):
-    """Statement spine of a block: bindings head their continuation.
-
-    Both surface forms of a binding parse to the same node, so blocks print
-    them uniformly in declaration form.
-    """
-    match e:
-        case ast.Skip():
-            return
-        case ast.Seq(first, second):
-            yield from _flatten(first)
-            yield from _flatten(second)
-        case ast.Let(_, _, _, body, _):
-            yield _VarHead(e)
-            yield from _flatten(body)
-        case _:
-            yield e
 
 
 def print_stmt(e: ast.Expr, depth: int) -> str:
     pad = INDENT * depth
     match e:
-        case ast.Let(name, None, init, body, _):
+        case ast.VarDecl(name, declared, init, mutable):
+            kw = "var" if mutable else "val"
+            ty = "" if declared is None else print_type(declared) + " "
+            return f"{pad}{kw} {ty}{name} = {print_expr(init)}"
+        case ast.Let(name, init, body):
             return (f"{pad}let {name} = {print_expr(init)} in\n"
                     + print_stmt(body, depth + 1))
         case ast.FieldAssign(target, name, value, body):
@@ -192,8 +163,6 @@ def print_expr(e: ast.Expr) -> str:
         case ast.MethodCall(recv, method, args):
             inner = ", ".join(print_expr(a) for a in args)
             return f"{print_expr(recv)}.{method}({inner})"
-        case ast.Skip():
-            return ""
     raise TypeError(f"not printable as an inline expression: {e!r}")
 
 

@@ -118,12 +118,6 @@ class StrLit(Expr):
 
 
 @dataclass(frozen=True)
-class Skip(Expr):
-    """Empty body; evaluates to unit."""
-    span: Span = NO_SPAN
-
-
-@dataclass(frozen=True)
 class VarRef(Expr):
     name: str
     span: Span = NO_SPAN
@@ -161,19 +155,29 @@ class MethodCall(Expr):
 
 
 @dataclass(frozen=True)
-class Seq(Expr):
-    first: Expr
-    second: Expr
+class Block(Expr):
+    """{ s1; ...; sn }: evaluates to the last statement's value, or unit
+    when empty or when it ends with a declaration."""
+    stmts: tuple[Expr, ...]
+    span: Span = NO_SPAN
+
+
+@dataclass(frozen=True)
+class VarDecl(Expr):
+    """var/val [T] x = e; its scope is the rest of the enclosing block."""
+    name: str
+    declared: Optional[Type]
+    init: Expr
+    mutable: bool = True
     span: Span = NO_SPAN
 
 
 @dataclass(frozen=True)
 class Let(Expr):
+    """let x = e in s: an immutable binding scoped over one statement."""
     name: str
-    declared: Optional[Type]
     init: Expr
     body: Expr
-    mutable: bool = True
     span: Span = NO_SPAN
 
 
@@ -198,7 +202,7 @@ class Update(Expr):
 @dataclass(frozen=True)
 class MatchArm(Expr):
     state: str
-    body: Expr
+    body: Block
     span: Span = NO_SPAN
 
 
@@ -207,14 +211,14 @@ class Match(Expr):
     scrutinee: Expr
     scope: Optional[str]             # the S in match (e : S), when written
     arms: tuple[MatchArm, ...]
-    default: Optional[Expr]
+    default: Optional[Block]
     span: Span = NO_SPAN
 
 
 @dataclass(frozen=True)
 class CaseExpr(Expr):
     scrutinee: Expr
-    body: Expr
+    body: Block
     span: Span = NO_SPAN
 
 
@@ -223,7 +227,7 @@ class While(Expr):
     bound_vars: tuple[str, ...]
     invariant: Formula
     cond: Expr
-    body: Expr
+    body: Block
     span: Span = NO_SPAN
 
 
@@ -257,7 +261,7 @@ class MethodDecl(Decl):
     name: str
     params: tuple[Param, ...]
     env: tuple[Param, ...]           # environment transitions, incl. this
-    body: Optional[Expr]             # None for trusted signature-only methods
+    body: Optional[Block]            # None for trusted signature-only methods
     span: Span = NO_SPAN
 
 

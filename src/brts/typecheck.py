@@ -593,8 +593,6 @@ class Checker:
                 return BOOL
             case ast.StrLit():
                 return STRING
-            case ast.Skip():
-                return VOID
             case ast.VarRef(name, span):
                 binding = ctx.lookup(name)
                 if binding is None:
@@ -608,9 +606,8 @@ class Checker:
                 return self.infer_fieldref(ctx, e)
             case ast.MethodCall():
                 return self.infer_call(ctx, e)
-            case ast.Seq(first, second):
-                self.infer(ctx, first)
-                return self.infer(ctx, second)
+            case ast.Block():
+                return self.infer_block(ctx, e)
             case ast.Let():
                 return self.infer_let(ctx, e)
             case ast.FieldAssign():
@@ -679,14 +676,31 @@ class Checker:
         self.error("IllFormedType",
                    f"state '{state}' has no field '{e.name}'", e.span)
 
-    def infer_let(self, ctx: Ctx, e: ast.Let) -> Type:
-        if e.declared is not None:
-            declared = self.elaborate(ctx, e.declared, e.span, allow_wildcard=True)
-            bound = self.check_initializer(ctx, declared, e.init, e.span, e.name)
-        else:
-            bound = self.infer(ctx, e.init)
+    def infer_block(self, ctx: Ctx, e: ast.Block) -> Type:
+        """A block's declarations bind in its own scope, each over the
+        statements after it."""
         ctx.push()
-        ctx.bind(e.name, Binding(bound, mutable=e.mutable))
+        result: Type = VOID
+        for stmt in e.stmts:
+            if isinstance(stmt, ast.VarDecl):
+                if stmt.declared is not None:
+                    declared = self.elaborate(ctx, stmt.declared, stmt.span,
+                                              allow_wildcard=True)
+                    bound = self.check_initializer(ctx, declared, stmt.init,
+                                                   stmt.span, stmt.name)
+                else:
+                    bound = self.infer(ctx, stmt.init)
+                ctx.bind(stmt.name, Binding(bound, mutable=stmt.mutable))
+                result = VOID
+            else:
+                result = self.infer(ctx, stmt)
+        ctx.pop()
+        return result
+
+    def infer_let(self, ctx: Ctx, e: ast.Let) -> Type:
+        bound = self.infer(ctx, e.init)
+        ctx.push()
+        ctx.bind(e.name, Binding(bound, mutable=False))
         result = self.infer(ctx, e.body)
         ctx.pop()
         return result

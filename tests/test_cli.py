@@ -303,6 +303,7 @@ def test_non_ascii_digit_is_a_lex_error(tmp_path, args):
 @pytest.mark.parametrize("init, reason", [
     ("init", "init expects a state and the counters' initial values"),
     ("init q1 0 zero", "init values must be integers, got '0 zero'"),
+    ("foo bar", "unknown directive 'foo'"),
 ])
 @pytest.mark.parametrize("args", [
     ("reach", "{machine}", "--bad", "p > 0"),
@@ -338,3 +339,96 @@ def test_simulate_quantified_final_formula():
     assert out.stdout == brts("simulate", "corpus/dyck/machine.mca",
                               "corpus/dyck/good.brts", "--bound", "3",
                               "--final-formula", "n == m").stdout
+
+
+# ---------------------------------------------------------------------------
+# statement blocks, scopes and long programs
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_out_counters():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, brts.cli; print('brts.counters' in sys.modules)"],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("body, printed", [
+    # the let-bound B goes out of scope, so the A answers
+    ("val a = new A(); let a = new B() in a; a.ping();", "1"),
+    # an object binding shadows an int binding of the same name
+    ("val a = 0; let a = new A() in a.ping();", "1"),
+])
+def test_run_restores_shadowed_bindings(tmp_path, body, printed):
+    program = tmp_path / "shadow.brts"
+    program.write_text("state A { int ping()[] { 1; } }\nstate B { }\n"
+                       f"state Main {{ void main()[] {{ {body} }} }}\n")
+    assert brts("check", str(program)).returncode == 0
+    out = brts("run", str(program))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{printed}\n"
+
+
+def test_run_missing_method_is_a_located_runtime_error(tmp_path):
+    program = tmp_path / "nomethod.brts"
+    program.write_text("state B { }\nstate Main {\n    void main()[] {\n"
+                       "        val b = new B();\n        b.ping();\n    }\n}\n")
+    out = brts("run", "--unchecked", str(program))
+    assert out.returncode == 4
+    assert out.stderr == (f"{program}:5:11: runtime error: state 'B' has no method "
+                          f"'ping' [NoSuchMethod]\n")
+
+
+def test_fmt_keeps_the_scope_of_let_in(tmp_path):
+    from brts.parser import parse_program
+    from brts.printer import strip_spans
+
+    program = tmp_path / "let.brts"
+    source = "state Main {\n    void main()[] {\n        let y = 2 in y;\n        y;\n    }\n}\n"
+    program.write_text(source)
+    before = brts("check", str(program))
+    assert before.returncode == 1
+    assert before.stderr.startswith(f"{program}:4:9: error: unbound variable 'y' [BRTS011]")
+    out = brts("fmt", str(program))
+    assert out.returncode == 0
+    assert strip_spans(parse_program(out.stdout)) == strip_spans(parse_program(source))
+    program.write_text(out.stdout)
+    after = brts("check", str(program))
+    assert after.returncode == 1
+    assert "unbound variable 'y' [BRTS011]" in after.stderr
+
+
+def _produce_calls(n: int) -> str:
+    """A straight-line main of n trusted `produce` calls on one buffer."""
+    calls = "".join("        pc.produce(buffer);\n" for _ in range(n))
+    return ("state Buffer { }\nstate OpenBuffer case of Buffer { }\n"
+            "state ProducerConsumer {\n    type SB : Pi(phi(p, c), Buffer);\n"
+            "    void produce((1, SB(phi(p, q), OpenBuffer)) >> "
+            "(1, SB(phi(p + 1, q), OpenBuffer)) buf)[];\n}\n"
+            "state Main {\n    void main()[] {\n"
+            "        var (1, _) pc = new ProducerConsumer();\n"
+            "        var (1, SB(phi(0, 0), OpenBuffer)) buffer = new OpenBuffer();\n"
+            f"{calls}        buffer;\n    }}\n}}\n")
+
+
+def test_long_straight_line_program_formats_and_runs(tmp_path):
+    from brts.parser import parse_program
+    from brts.printer import strip_spans
+
+    program = tmp_path / "long.brts"
+    source = _produce_calls(5000)
+    program.write_text(source)
+    out = brts("fmt", str(program))
+    assert out.returncode == 0, out.stderr[-300:]
+    assert strip_spans(parse_program(out.stdout)) == strip_spans(parse_program(source))
+    out = brts("run", "--unchecked", str(program))
+    assert out.returncode == 0, out.stderr[-300:]
+    assert out.stdout == "OpenBuffer@phi(5000, 0)\n"
+
+
+def test_check_many_statements(tmp_path):
+    program = tmp_path / "ints.brts"
+    program.write_text("state Main { void main()[] {\n" + "1;\n" * 3000 + "} }\n")
+    out = brts("check", str(program))
+    assert out.returncode == 0, out.stderr[-300:]

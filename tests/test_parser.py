@@ -120,22 +120,21 @@ def test_parse_while_with_invariant():
     """
     prog = parse_program(src)
     main = prog.states[0].decls[0]
-    let = main.body
-    assert isinstance(let, ast.Let)
-    assert isinstance(let.body, ast.While)
-    assert formula_equal(let.body.invariant, ge(Var("p"), Var("q")))
+    decl, loop = main.body.stmts
+    assert isinstance(decl, ast.VarDecl) and not decl.mutable
+    assert isinstance(loop, ast.While)
+    assert formula_equal(loop.invariant, ge(Var("p"), Var("q")))
 
 
 def test_parse_wildcard_and_dependent_new():
     prog = parse_program(PRODCONS_SNIPPET)
     main = next(s for s in prog.states if s.name == "Main")
-    body = main.decls[0].body
-    assert isinstance(body, ast.Let)
-    assert isinstance(body.declared, ast.PermPair)
-    assert isinstance(body.declared.inner, ast.WildcardType)
-    inner = body.body
-    assert isinstance(inner, ast.Let)
-    inst = inner.declared.inner
+    pc, buffer = main.decls[0].body.stmts[:2]
+    assert isinstance(pc, ast.VarDecl)
+    assert isinstance(pc.declared, ast.PermPair)
+    assert isinstance(pc.declared.inner, ast.WildcardType)
+    assert isinstance(buffer, ast.VarDecl)
+    inst = buffer.declared.inner
     assert inst.family == "SB"
     assert [str(a) for a in inst.args] == [str(Const(0)), str(Const(0))]
 
@@ -143,9 +142,7 @@ def test_parse_wildcard_and_dependent_new():
 def test_parse_match_default_and_update():
     prog = parse_program(PRODCONS_SNIPPET)
     main = next(s for s in prog.states if s.name == "Main")
-    node = main.decls[0].body
-    while not isinstance(node, ast.Match):
-        node = node.body if isinstance(node, ast.Let) else node.second
+    node = next(s for s in main.decls[0].body.stmts if isinstance(s, ast.Match))
     assert node.arms[0].state == "OpenBuffer"
     assert node.default is not None
 
