@@ -38,7 +38,8 @@ from .diagnostics import BrtsError
 from .parser import parse_formula
 from .presburger import (
     And, Const, EqZ, Formula, Le, Lin, Term, TrueF, Var,
-    conj, disj, eq, evaluate, free_vars, ge, simplify, substitute, TRUE,
+    conj, disj, eliminate_quantifiers, eq, evaluate, free_vars, ge, substitute,
+    TRUE,
 )
 from .syntax import ChangeType, InstanceType, PermPair, StateTable, Type
 
@@ -265,9 +266,8 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
         raise MachineError("UnsatisfiableInitial",
                            "initial instance needs ground coordinates")
     if initial.constraint != TRUE:
-        env = {}
-        grounded = simplify(initial.constraint)
-        if free_vars(grounded) or not evaluate(grounded, env):
+        grounded = eliminate_quantifiers(initial.constraint)
+        if free_vars(grounded) or not evaluate(grounded, {}):
             raise MachineError("UnsatisfiableInitial",
                                "initial instance constraint does not hold")
     init = LtsState(initial.state, tuple(l.const for l in init_args))
@@ -281,15 +281,26 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
             return table.is_substate(sub, sup)
         return sub == sup
 
+    # contracts compiled once per valuation length, and the ones whose pre
+    # state a control state satisfies
+    compiled: dict[int, list[_Contract]] = {}
+    applicable: dict[tuple[str, int], list[_Contract]] = {}
     while queue:
         cur = queue.popleft()
         lts.states.append(cur)
+        key = (cur.control, len(cur.valuation))
+        contracts = applicable.get(key)
+        if contracts is None:
+            arity = len(cur.valuation)
+            if arity not in compiled:
+                compiled[arity] = [_Contract(ann, arity) for ann in annotations]
+            contracts = applicable[key] = [
+                c for c in compiled[arity] if substate(cur.control, c.ann.pre_state)]
         moves = []
-        for ann in annotations:
-            if not substate(cur.control, ann.pre_state):
-                continue
-            for sigma in _match_args(ann, cur.valuation, bound):
-                post_val = tuple(Lin.of(a).evaluate(sigma) for a in ann.post_args)
+        for c in contracts:
+            ann = c.ann
+            for sigma in c.matches(cur.valuation, bound):
+                post_val = tuple(lin.evaluate(sigma) for lin in c.post)
                 if any(abs(v) > bound for v in post_val):
                     continue
                 nxt = seen.get((ann.post_state, post_val))
@@ -304,34 +315,51 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     return lts
 
 
-def _match_args(ann: Annotation, valuation: tuple[int, ...], bound: int):
-    """Instantiations of the contract's logical variables consistent with the
-    current valuation and both side constraints."""
-    facts = [ann.pre_constraint, ann.post_constraint]
-    for term, value in zip(ann.pre_args, valuation):
-        facts.append(eq(term, Const(value)))
-    formula = simplify(conj(*facts))
-    if formula == TRUE:
-        yield {}
-        return
-    sigma: dict[str, int] = {}
-    # plain-variable arguments pin their value directly
-    for term, value in zip(ann.pre_args, valuation):
-        lin = Lin.of(term)
-        if len(lin.coeffs) == 1 and lin.const == 0:
-            (v, c), = lin.coeffs.items()
-            if c == 1:
-                sigma[v] = value
-    grounded = simplify(substitute(formula, {v: Const(k) for v, k in sigma.items()}))
-    rest = sorted(free_vars(grounded))
-    if not rest:
-        if grounded == TRUE or evaluate(grounded, {}):
-            yield sigma
-        return
-    for combo in itertools.product(range(-bound, bound + 1), repeat=len(rest)):
-        env = dict(zip(rest, combo))
-        if evaluate(grounded, env):
-            yield {**sigma, **env}
+class _Contract:
+    """A contract prepared for matching valuations of one length.
+
+    Pre arguments past the valuation's length are ignored.  A pre argument
+    that is a plain variable pins that variable to its coordinate (the last
+    such position wins); every other pre argument is an equality to check.
+    The remaining logical variables, those of the constraints and the
+    arguments that no position pins, range over the bound."""
+
+    def __init__(self, ann: Annotation, arity: int):
+        self.ann = ann
+        pre = [Lin.of(a) for a in ann.pre_args[:arity]]
+        self.post = tuple(Lin.of(a) for a in ann.post_args)
+        self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
+        pins: dict[str, int] = {}
+        for i, lin in enumerate(pre):
+            if lin.const == 0 and len(lin.coeffs) == 1:
+                (v, c), = lin.coeffs.items()
+                if c == 1:
+                    pins[v] = i
+        self.pins = tuple(pins.items())
+        pinned_at = set(pins.values())
+        self.checks = tuple((lin, i) for i, lin in enumerate(pre) if i not in pinned_at)
+        names = set(free_vars(self.constraint))
+        for lin in itertools.chain(pre, self.post):
+            names.update(lin.coeffs)
+        self.rest = tuple(sorted(names - pins.keys()))
+
+    def holds(self, valuation: tuple[int, ...], env: dict[str, int]) -> bool:
+        return (all(lin.evaluate(env) == valuation[i] for lin, i in self.checks)
+                and evaluate(self.constraint, env))
+
+    def matches(self, valuation: tuple[int, ...], bound: int):
+        """Instantiations of the logical variables consistent with the
+        valuation and both side constraints, in product order of the
+        remaining variables over the bound."""
+        sigma = {v: valuation[i] for v, i in self.pins}
+        if not self.rest:
+            if self.holds(valuation, sigma):
+                yield sigma
+            return
+        for combo in itertools.product(range(-bound, bound + 1), repeat=len(self.rest)):
+            env = {**sigma, **dict(zip(self.rest, combo))}
+            if self.holds(valuation, env):
+                yield env
 
 
 # ---------------------------------------------------------------------------

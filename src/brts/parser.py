@@ -99,11 +99,13 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    # the token list ends with `eof` and `advance` never moves past it, so
+    # the current position always indexes a token
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, lexeme: str) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return t.lexeme == lexeme and t.kind in ("keyword", "symbol")
 
     def at_ident(self, name: Optional[str] = None) -> bool:
@@ -431,7 +433,8 @@ class Parser:
         if self.at("var") or self.at("val"):
             tok = self.advance()
             declared = None
-            if not (self.peek().kind == "ident" and self.peek(1).lexeme == "="):
+            after = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
+            if not (self.peek().kind == "ident" and after.lexeme == "="):
                 declared = self.type_()
             name = self.expect_ident().lexeme
             self.expect("=")

@@ -12,12 +12,15 @@ definitions, which is what an oracle is for.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from brts.counters import (
-    CounterMachine, Counterexample, Lts, LtsState, SimulationRelation, primed,
+    Annotation, CounterMachine, Counterexample, Lts, LtsState, SimulationRelation,
+    primed,
 )
 from brts.presburger import (
-    And, Const, EqZ, Formula, TRUE, evaluate, free_vars, simplify, substitute,
+    And, Const, EqZ, Formula, Lin, TRUE, conj, eq, evaluate, free_vars, simplify,
+    substitute,
 )
 
 
@@ -123,3 +126,65 @@ def _primed_solutions(grounded: Formula, counters: tuple[str, ...],
             out = tuple(full[primed(c)] for c in counters)
             if all(abs(x) <= bound for x in out):
                 yield out
+
+
+def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -> Lts:
+    """`brts_to_lts` matching every contract at every state through
+    `reference_match_args`.  The initial instance is taken as valid."""
+    init = LtsState(initial.state, tuple(Lin.of(a).const for a in initial.args))
+    lts = Lts(tuple(f"c{i}" for i in range(len(init.valuation))), init)
+    seen = {(init.control, init.valuation): init}
+    queue = deque([init])
+    while queue:
+        cur = queue.popleft()
+        lts.states.append(cur)
+        moves = []
+        for ann in annotations:
+            applies = (table.is_substate(cur.control, ann.pre_state) if table is not None
+                       else cur.control == ann.pre_state)
+            if not applies:
+                continue
+            for sigma in reference_match_args(ann, cur.valuation, bound):
+                post_val = tuple(Lin.of(a).evaluate(sigma) for a in ann.post_args)
+                if any(abs(v) > bound for v in post_val):
+                    continue
+                nxt = seen.get((ann.post_state, post_val))
+                if nxt is None:
+                    nxt = seen[(ann.post_state, post_val)] = LtsState(ann.post_state, post_val)
+                    queue.append(nxt)
+                moves.append((ann.label, nxt))
+                lts.actions.add(ann.label)
+        lts.transitions[cur] = tuple(dict.fromkeys(moves))
+    if final is not None:
+        lts.finals = {s for s in lts.states if final(s.control, s.valuation)}
+    return lts
+
+
+def reference_match_args(ann: Annotation, valuation: tuple[int, ...], bound: int):
+    """Instantiations of the contract's logical variables consistent with the
+    current valuation and both side constraints."""
+    facts = [ann.pre_constraint, ann.post_constraint]
+    for term, value in zip(ann.pre_args, valuation):
+        facts.append(eq(term, Const(value)))
+    formula = simplify(conj(*facts))
+    if formula == TRUE:
+        yield {}
+        return
+    sigma: dict[str, int] = {}
+    # plain-variable arguments pin their value directly
+    for term, value in zip(ann.pre_args, valuation):
+        lin = Lin.of(term)
+        if len(lin.coeffs) == 1 and lin.const == 0:
+            (v, c), = lin.coeffs.items()
+            if c == 1:
+                sigma[v] = value
+    grounded = simplify(substitute(formula, {v: Const(k) for v, k in sigma.items()}))
+    rest = sorted(free_vars(grounded))
+    if not rest:
+        if grounded == TRUE or evaluate(grounded, {}):
+            yield sigma
+        return
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(rest)):
+        env = dict(zip(rest, combo))
+        if evaluate(grounded, env):
+            yield {**sigma, **env}

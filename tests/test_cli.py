@@ -341,6 +341,43 @@ def test_simulate_quantified_final_formula():
                               "--final-formula", "n == m").stdout
 
 
+BUMP_PROGRAM = """
+state Ctr { }
+state Ops {
+    type C : Pi(phi(n), Ctr);
+    void bump((1, C(phi(n), Ctr)) >> (1, C(%s, Ctr)) w)[];
+}
+state Main {
+    void main()[] {
+        var (1, _) ops = new Ops();
+        var (1, C(phi(0), Ctr)) w = new Ctr();
+        ops.bump(w);
+    }
+}
+"""
+
+BUMP_MACHINE = """counters c
+state s
+init s 0
+final s
+trans s -> s : bump : c' == c + 1
+"""
+
+
+@pytest.mark.parametrize("post", [
+    "phi(k)", "phi(k, k == n + 1 || n >= 0)", "phi(k, exists j. k == n + j && j == 1)",
+])
+def test_simulate_contract_with_unpinned_post_variable(tmp_path, post):
+    program = tmp_path / "p.brts"
+    program.write_text(BUMP_PROGRAM % post)
+    machine = tmp_path / "m.mca"
+    machine.write_text(BUMP_MACHINE)
+    assert brts("check", str(program)).returncode == 0
+    out = brts("simulate", str(machine), str(program), "--bound", "2")
+    assert out.returncode in (0, 5), out.stderr
+    assert "internal error" not in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # statement blocks, scopes and long programs
 # ---------------------------------------------------------------------------

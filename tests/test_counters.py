@@ -162,6 +162,25 @@ def test_brts_lts_unsatisfiable_initial():
     assert err.value.kind == "UnsatisfiableInitial"
 
 
+def test_brts_lts_free_post_variable_ranges_over_the_bound():
+    # `bump` constrains nothing about its post coordinate k
+    bump = Annotation("bump", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),), TRUE)
+    initial = InstanceType("C", (Const(0),), TRUE, "Ctr")
+    for bound in (0, 2, 5):
+        lts = brts_to_lts([bump], initial, bound)
+        assert len(lts.states) == 2 * bound + 1
+        assert [s.valuation for _, s in lts.moves(lts.initial)] == \
+            [(k,) for k in range(-bound, bound + 1)]
+
+
+def test_brts_lts_quantified_post_constraint():
+    step = Annotation("step", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),),
+                      exists("j", parse_formula("k == n + j && j == 1")))
+    initial = InstanceType("C", (Const(0),), TRUE, "Ctr")
+    lts = brts_to_lts([step], initial, bound=3)
+    assert [s.valuation for s in lts.states] == [(0,), (1,), (2,), (3,)]
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
