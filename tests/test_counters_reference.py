@@ -130,7 +130,8 @@ def even_sum(control: str, valuation: tuple[int, ...]) -> bool:
     return sum(valuation) % 2 == 0
 
 
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.brts")), ids=lambda p: f"{p.parent.name}-{p.stem}")
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.brts")),
+                         ids=lambda p: f"{p.parent.name}-{p.stem}")
 def test_brts_to_lts_matches_reference_on_corpus(path):
     """Every corpus program at bounds 0-9, with all of its contracts and with
     each label deleted in turn."""
