@@ -80,25 +80,35 @@ def _as_term(x: "Term | int") -> Term:
 class Lin:
     """A term flattened to ``sum(c_i * v_i) + k`` with distinct variables.
 
-    Immutable; zero coefficients are dropped eagerly so structural equality
-    is semantic equality of linear forms.
+    Immutable, and ``coeffs`` is never mutated, so results may share it.
+    Zero coefficients are never stored, so structural equality is semantic
+    equality of linear forms.  The hash is computed on first use.
     """
 
-    __slots__ = ("coeffs", "const", "_key")
+    __slots__ = ("coeffs", "const", "_hash")
 
     def __init__(self, coeffs: Mapping[str, int] | Iterable[tuple[str, int]] = (), const: int = 0):
         items = dict(coeffs)
         self.coeffs = {v: c for v, c in items.items() if c != 0}
         self.const = const
-        self._key = (tuple(sorted(self.coeffs.items())), const)
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _make(cls, coeffs: dict[str, int], const: int) -> "Lin":
+        """Adopt coeffs as they are: the caller guarantees no zero in them."""
+        lin = object.__new__(cls)
+        lin.coeffs = coeffs
+        lin.const = const
+        lin._hash = None
+        return lin
 
     @staticmethod
     def of(term: Term) -> "Lin":
         match term:
             case Const(k):
-                return Lin({}, k)
+                return Lin.constant(k)
             case Var(v):
-                return Lin({v: 1})
+                return Lin.var(v)
             case Scale(c, t):
                 return Lin.of(t).scale(c)
             case Add(a, b):
@@ -109,28 +119,32 @@ class Lin:
 
     @staticmethod
     def var(name: str) -> "Lin":
-        return Lin({name: 1})
+        return Lin._make({name: 1}, 0)
 
     @staticmethod
     def constant(k: int) -> "Lin":
-        return Lin({}, k)
+        return Lin._make({}, k)
 
     def add(self, other: "Lin") -> "Lin":
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return Lin(coeffs, self.const + other.const)
+            total = coeffs.get(v, 0) + c
+            if total:
+                coeffs[v] = total
+            else:
+                del coeffs[v]
+        return Lin._make(coeffs, self.const + other.const)
 
     def sub(self, other: "Lin") -> "Lin":
         return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "Lin":
         if c == 0:
-            return Lin({}, 0)
-        return Lin({v: k * c for v, k in self.coeffs.items()}, self.const * c)
+            return Lin._make({}, 0)
+        return Lin._make({v: k * c for v, k in self.coeffs.items()}, self.const * c)
 
     def add_const(self, k: int) -> "Lin":
-        return Lin(self.coeffs, self.const + k)
+        return Lin._make(self.coeffs, self.const + k)
 
     def coeff(self, var: str) -> int:
         return self.coeffs.get(var, 0)
@@ -138,7 +152,7 @@ class Lin:
     def drop(self, var: str) -> "Lin":
         coeffs = dict(self.coeffs)
         coeffs.pop(var, None)
-        return Lin(coeffs, self.const)
+        return Lin._make(coeffs, self.const)
 
     def subst(self, var: str, value: "Lin") -> "Lin":
         c = self.coeff(var)
@@ -175,13 +189,16 @@ class Lin:
         return term
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lin) and self._key == other._key
+        return (isinstance(other, Lin) and self.const == other.const
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash((frozenset(self.coeffs.items()), self.const))
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"Lin({self._key[0]!r}, {self.const})"
+        return f"Lin({tuple(sorted(self.coeffs.items()))!r}, {self.const})"
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +258,44 @@ class NotDvd(Formula):
     lin: Lin
 
 
+def _cached_hash(node: Formula) -> int:
+    """The hash of a node's fields, computed once per node.
+
+    An And, Or, Not or Exists hashes its whole subtree, and `conj` and
+    `disj` hash every part they get.  The instance dict holds exactly the
+    dataclass fields, in order, until the hash is stored beside them.
+    """
+    fields = node.__dict__
+    h = fields.get("_hash")
+    if h is None:
+        h = hash(tuple(fields.values()))
+        object.__setattr__(node, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class And(Formula):
     parts: tuple[Formula, ...]
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
+    __hash__ = _cached_hash
 
 
 # -- constructors over surface comparisons ----------------------------------
@@ -293,11 +329,11 @@ def conj(*parts: Formula) -> Formula:
     for p in parts:
         if isinstance(p, And):
             out.extend(p.parts)
-        elif p == FALSE:
+        elif isinstance(p, FalseF):
             return FALSE
-        elif p != TRUE:
+        elif not isinstance(p, TrueF):
             out.append(p)
-    deduped = _dedupe(out)
+    deduped = list(dict.fromkeys(out))
     if not deduped:
         return TRUE
     if len(deduped) == 1:
@@ -310,11 +346,11 @@ def disj(*parts: Formula) -> Formula:
     for p in parts:
         if isinstance(p, Or):
             out.extend(p.parts)
-        elif p == TRUE:
+        elif isinstance(p, TrueF):
             return TRUE
-        elif p != FALSE:
+        elif not isinstance(p, FalseF):
             out.append(p)
-    deduped = _dedupe(out)
+    deduped = list(dict.fromkeys(out))
     if not deduped:
         return FALSE
     if len(deduped) == 1:
@@ -323,9 +359,9 @@ def disj(*parts: Formula) -> Formula:
 
 
 def neg(f: Formula) -> Formula:
-    if f == TRUE:
+    if isinstance(f, TrueF):
         return FALSE
-    if f == FALSE:
+    if isinstance(f, FalseF):
         return TRUE
     if isinstance(f, Not):
         return f.body
@@ -350,16 +386,6 @@ def _lin(t: Term | Lin) -> Lin:
     return t if isinstance(t, Lin) else Lin.of(t)
 
 
-def _dedupe(parts: list[Formula]) -> list[Formula]:
-    seen: set[Formula] = set()
-    out = []
-    for p in parts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def _fold_atom(f: Formula) -> Formula:
     """Evaluate ground atoms and tighten by the gcd of the coefficients."""
     match f:
@@ -369,8 +395,8 @@ def _fold_atom(f: Formula) -> Formula:
             g = _coeff_gcd(lin)
             if g > 1:
                 # g*l + k <= 0  <=>  l <= floor(-k / g)
-                return Le(Lin({v: c // g for v, c in lin.coeffs.items()},
-                              -((-lin.const) // g)))
+                return Le(Lin._make({v: c // g for v, c in lin.coeffs.items()},
+                                    -((-lin.const) // g)))
             return f
         case EqZ(lin):
             if lin.is_const:
@@ -379,7 +405,7 @@ def _fold_atom(f: Formula) -> Formula:
             if lin.const % g != 0:
                 return FALSE
             if g > 1:
-                lin = Lin({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
+                lin = Lin._make({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
             # canonical sign: the first variable carries a positive coefficient
             lead = min(lin.coeffs)
             if lin.coeffs[lead] < 0:
@@ -395,14 +421,14 @@ def _fold_atom(f: Formula) -> Formula:
                 return TRUE if reduced.const % d == 0 else FALSE
             g = gcd(_coeff_gcd(reduced), d)
             if g > 1 and reduced.const % g == 0:
-                return Dvd(d // g, Lin({v: c // g for v, c in reduced.coeffs.items()},
-                                       reduced.const // g))
+                return Dvd(d // g, Lin._make({v: c // g for v, c in reduced.coeffs.items()},
+                                             reduced.const // g))
             return Dvd(d, reduced)
         case NotDvd(d, lin):
             inner = _fold_atom(Dvd(d, lin))
-            if inner == TRUE:
+            if isinstance(inner, TrueF):
                 return FALSE
-            if inner == FALSE:
+            if isinstance(inner, FalseF):
                 return TRUE
             assert isinstance(inner, Dvd)
             return NotDvd(inner.d, inner.lin)
@@ -508,12 +534,9 @@ def _subst(f: Formula, lins: Mapping[str, Lin], range_vars: set[str]) -> Formula
 
 
 def _subst_lin(lin: Lin, lins: Mapping[str, Lin]) -> Lin:
-    out = Lin({}, lin.const)
+    out = Lin.constant(lin.const)
     for v, c in lin.coeffs.items():
-        if v in lins:
-            out = out.add(lins[v].scale(c))
-        else:
-            out = out.add(Lin({v: c}))
+        out = out.add(lins[v].scale(c) if v in lins else Lin._make({v: c}, 0))
     return out
 
 
@@ -666,7 +689,7 @@ def _unitize(f: Formula, var: str) -> tuple[Formula, int]:
         m = delta // abs(c)
         scaled = lin.scale(m)
         # delta*var is re-expressed through var with unit coefficient
-        unit = scaled.drop(var).add(Lin({var: 1 if c > 0 else -1}))
+        unit = scaled.drop(var).add(Lin._make({var: 1 if c > 0 else -1}, 0))
         match a:
             case Le(_):
                 return Le(unit)
@@ -675,7 +698,7 @@ def _unitize(f: Formula, var: str) -> tuple[Formula, int]:
             case NotDvd(d, _):
                 return _fold_atom(NotDvd(d * m, unit))
             case EqZ(_):
-                raise AssertionError("equalities on the variable are split beforehand")
+                return EqZ(unit)
         raise TypeError(f"unexpected atom {a!r}")
 
     g = map_atoms(f, scale_atom)
@@ -753,11 +776,10 @@ class _Branch:
     delta: int
 
 
-def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
-    f1 = nnf(f_qf)
-    f1 = _rewrite_eq_on(f1, var)
-    g, delta = _unitize(f1, var)
-
+def _cooper_setup(var: str, f_qf: Formula) -> tuple[Formula, int, int, list[Lin], list[Lin]]:
+    """The unitized formula of a Cooper step on var, with its delta, its
+    period, its lower bounds and all its comparison bounds."""
+    g, delta = _unitize(_rewrite_eq_on(nnf(f_qf), var), var)
     period = 1
     lowers: list[Lin] = []
     bounds: list[Lin] = []
@@ -777,7 +799,11 @@ def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
             else:
                 bounds.append(rest)               # var >= rest
                 lowers.append(rest)
+    return g, delta, period, lowers, bounds
 
+
+def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
+    g, delta, period, lowers, bounds = _cooper_setup(var, f_qf)
     g_inf = simplify(_minus_inf(g, var))
     for j in range(1, period + 1):
         yield _Branch(_subst_var(g_inf, var, Lin.constant(j)), None, j, period,
@@ -793,19 +819,32 @@ def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
 
 
 def cooper_eliminate(var: str, f_qf: Formula) -> Formula:
-    """Eliminate one existential over a quantifier-free body."""
+    """Eliminate one existential over a quantifier-free body.
+
+    A top-level equality ``c*var + r == 0`` eliminates var exactly, as the
+    equality step of Pugh's Omega test does.  With |c| = 1 its solution is
+    put for var.  Otherwise `_unitize` rewrites the formula over
+    ``delta*var``, where the equality reads ``sign(c)*(delta*var) + m*r == 0``
+    for m = delta / |c|, and its solution is put for ``delta*var``; the
+    result is ``delta | -sign(c)*m*r`` and the rest, not Cooper's period
+    branches.
+    """
     f_qf = simplify(f_qf)
     if var not in free_vars(f_qf):
         return f_qf
     if isinstance(f_qf, Or):
         return disj(*(cooper_eliminate(var, p) for p in f_qf.parts))
-    # a top-level equality pinning the variable eliminates it exactly
-    for a in _conjuncts(f_qf):
-        if isinstance(a, EqZ):
-            c = a.lin.coeff(var)
-            if abs(c) == 1:
-                value = a.lin.drop(var).scale(-1 if c == 1 else 1)
-                return simplify(_subst_var(f_qf, var, value))
+    pins = [a.lin for a in _conjuncts(f_qf) if isinstance(a, EqZ) and a.lin.coeff(var)]
+    for lin in pins:
+        c = lin.coeff(var)
+        if abs(c) == 1:
+            return _subst_var(f_qf, var, lin.drop(var).scale(-c))
+    if pins:
+        g, delta = _unitize(f_qf, var)
+        lin = pins[0]
+        c = lin.coeff(var)
+        m = delta // abs(c)
+        return _subst_var(g, var, lin.drop(var).scale(-m if c > 0 else m))
     return simplify(disj(*(b.formula for b in _cooper_branches(var, f_qf))))
 
 
@@ -827,8 +866,11 @@ def eliminate_quantifiers(f: Formula) -> Formula:
 def project_onto(f: Formula, keep: Iterable[str]) -> Formula:
     """Existentially quantify away every free variable not in keep.
 
-    Variables pinned by a top-level equality go first: those eliminations
-    are exact substitutions and keep the intermediate formulas small.
+    Variables pinned by a top-level unit equality go first: those
+    eliminations are exact substitutions and keep the intermediate formulas
+    small.  After them, the variable whose elimination makes the fewest
+    disjuncts goes first, so that Cooper periods do not multiply needlessly;
+    ties go to the alphabetically first variable.
     """
     keep_set = set(keep)
     qf = eliminate_quantifiers(f)
@@ -836,14 +878,25 @@ def project_onto(f: Formula, keep: Iterable[str]) -> Formula:
         remaining = sorted(free_vars(qf) - keep_set)
         if not remaining:
             return qf
-        pick = next((v for v in remaining if _pinned_by_equality(qf, v)),
-                    remaining[0])
+        pick = next((v for v in remaining if _pinned_by_equality(qf, v)), None)
+        if pick is None:
+            pick = min(remaining, key=lambda v: _disjunct_count(qf, v))
         qf = cooper_eliminate(pick, qf)
 
 
 def _pinned_by_equality(f: Formula, var: str) -> bool:
     return any(isinstance(a, EqZ) and abs(a.lin.coeff(var)) == 1
                for a in _conjuncts(f))
+
+
+def _disjunct_count(f: Formula, var: str) -> int:
+    """About how many disjuncts `cooper_eliminate` makes for var in f: one
+    when a top-level equality pins var, else lcm(delta, periods) times one
+    more than the number of lower bounds."""
+    if any(isinstance(a, EqZ) and a.lin.coeff(var) for a in _conjuncts(f)):
+        return 1
+    _, _, period, lowers, _ = _cooper_setup(var, f)
+    return period * (len(set(lowers)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -938,12 +991,12 @@ def _solve_unit_equalities(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
         del users[var]
         for key, p in rewritten:
             q = map_atoms(p, lambda a: _subst_atom(a, var, value))
-            if q == FALSE:
+            if isinstance(q, FalseF):
                 return FALSE, solved
             if isinstance(q, And):
                 for j, r in enumerate(q.parts):
                     add(key + (j,), r)
-            elif q != TRUE:
+            elif not isinstance(q, TrueF):
                 add(key, q)
     return conj(*(alive[k][0] for k in sorted(alive))), solved
 
@@ -963,9 +1016,9 @@ def _sat_qf(f: Formula) -> bool:
     eliminates its least used variable with Cooper's method.
     """
     f = simplify(f)
-    if f == TRUE:
+    if isinstance(f, TrueF):
         return True
-    if f == FALSE:
+    if isinstance(f, FalseF):
         return False
     if isinstance(f, Not):
         return _sat_qf(nnf(f))
@@ -1077,9 +1130,9 @@ def witness(f: Formula) -> Optional[dict[str, int]]:
 
 
 def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
-    if f == TRUE:
+    if isinstance(f, TrueF):
         return {}
-    if f == FALSE:
+    if isinstance(f, FalseF):
         return None
     if isinstance(f, Not):
         return _witness_qf(simplify(nnf(f)))
@@ -1115,7 +1168,7 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
             return _witness_qf(simplify(conj(*(nnf(p) for p in f.parts))))
     v = _pick_var(f)
     for b in _cooper_branches(v, f):
-        m = _witness_qf(simplify(b.formula))
+        m = _witness_qf(b.formula)
         if m is None:
             continue
         for w in free_vars(b.formula):
@@ -1184,7 +1237,7 @@ def _split_sides(lin: Lin) -> tuple[Lin, Lin]:
     rk = -lin.const if lin.const < 0 else 0
     if not left and lk == 0:
         # keep at least one variable on the left for readability
-        return Lin(lin.coeffs, lin.const), Lin({}, 0)
+        return lin, Lin.constant(0)
     return Lin(left, lk), Lin(right, rk)
 
 

@@ -130,13 +130,22 @@ class Ctx:
 class Obligation:
     span: Span
     rule: str
-    phi: str                   # incoming environment, rendered
-    goal: str                  # the constraint put to the solver, rendered
+    phi_f: Formula             # incoming environment
+    goal_f: Formula            # the constraint put to the solver
     verdict: bool
     countermodel: Optional[dict[str, int]] = None
     note: Optional[str] = None
-    phi_f: Optional[Formula] = None
-    goal_f: Optional[Formula] = None
+
+    @property
+    def phi(self) -> str:
+        """The incoming environment, rendered; only `explain` and the JSON
+        output read it, so a check renders nothing."""
+        return render(simplify(self.phi_f))
+
+    @property
+    def goal(self) -> str:
+        """The constraint put to the solver, rendered."""
+        return render(simplify(self.goal_f))
 
     def to_json(self) -> dict:
         out = {
@@ -578,9 +587,8 @@ class Checker:
         query = implies(ctx.phi, closed)
         verdict = is_valid(query)
         model = None if verdict else witness(conj(ctx.phi, neg(closed)))
-        self.obligations.append(Obligation(
-            span, rule, render(simplify(ctx.phi)), render(simplify(closed)),
-            verdict, model, note, phi_f=ctx.phi, goal_f=closed))
+        self.obligations.append(Obligation(span, rule, ctx.phi, closed,
+                                           verdict, model, note))
         return verdict
 
     # -- expressions ------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Reference implementation of the solver's quantifier-free core, kept as an
-oracle for the one-pass unit-equality elimination in `brts.presburger`.
+"""Reference implementations of the solver's kernel, kept as oracles for
+the faster code in `brts.presburger`.
 
 `reference_is_satisfiable` and `reference_witness` remove one unit
 equality per recursion: substitute it with `_subst_var`, simplify, recurse,
@@ -7,6 +7,11 @@ and on the way back evaluate the solved variable from the model below.
 Everything else (Cooper branches, disjunction splitting, the contradiction
 check) is the module's own code.  Slow on long equality chains and
 obviously faithful, which is what an oracle is for.
+
+`reference_lin_key` is the sorted key that `Lin` equality and hashing
+once went through, and `reference_cooper_eliminate` is the elimination
+step that split every equality on the variable into two inequalities and
+branched over Cooper's period, unit-coefficient equalities aside.
 """
 
 from __future__ import annotations
@@ -15,9 +20,33 @@ from typing import Optional
 
 from brts.presburger import (
     EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
-    _obviously_contradictory, _pick_var, _subst_var, conj, eliminate_quantifiers,
-    evaluate, free_vars, nnf, simplify,
+    _obviously_contradictory, _pick_var, _subst_var, conj, disj,
+    eliminate_quantifiers, evaluate, free_vars, nnf, simplify,
 )
+
+
+def reference_lin_key(lin: Lin) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Two linear forms are equal, and must hash alike, exactly when these
+    sorted keys are equal."""
+    return tuple(sorted(lin.coeffs.items())), lin.const
+
+
+def reference_cooper_eliminate(var: str, f_qf: Formula) -> Formula:
+    """Eliminate one existential: substitute a top-level unit equality's
+    solution, otherwise take every Cooper branch, with any equality on var
+    split into two inequalities first."""
+    f_qf = simplify(f_qf)
+    if var not in free_vars(f_qf):
+        return f_qf
+    if isinstance(f_qf, Or):
+        return disj(*(reference_cooper_eliminate(var, p) for p in f_qf.parts))
+    for a in _conjuncts(f_qf):
+        if isinstance(a, EqZ):
+            c = a.lin.coeff(var)
+            if abs(c) == 1:
+                value = a.lin.drop(var).scale(-1 if c == 1 else 1)
+                return simplify(_subst_var(f_qf, var, value))
+    return simplify(disj(*(b.formula for b in _cooper_branches(var, f_qf))))
 
 
 def reference_is_satisfiable(f: Formula) -> bool:

@@ -1,25 +1,34 @@
-"""Differential tests: the solver's one-pass unit-equality elimination
-against the one-equality-per-recursion reference in `solver_oracle.py`.
+"""Differential tests: the solver's kernel against the references in
+`solver_oracle.py`.
 
-Answers must agree exactly: the same boolean from `is_satisfiable` and the
-same `witness` model, value for value and in the same key order.
+The one-pass unit-equality elimination must agree with the
+one-equality-per-recursion reference exactly: the same boolean from
+`is_satisfiable` and the same `witness` model, value for value and in the
+same key order.  `Lin` equality and hashing must agree with the sorted
+key, and the exact elimination of non-unit equalities must be equivalent
+to splitting them and branching.
 """
 
 import random
 from pathlib import Path
+
+import numpy as np
 
 import brts.presburger as presburger
 import brts.typecheck as typecheck
 from brts.gen import synthesize_program
 from brts.parser import parse_program
 from brts.presburger import (
-    Const, EqZ, Exists, Lin, Var, _solve_unit_equalities, conj, disj, eq,
-    is_satisfiable, le, lt, ne, nnf, simplify, witness,
+    Const, EqZ, Exists, Lin, Var, _solve_unit_equalities, conj, cooper_eliminate,
+    disj, eliminate_quantifiers, eq, evaluate, exists_many, free_vars,
+    is_satisfiable, le, lt, ne, nnf, project_onto, simplify, substitute, witness,
 )
 from brts.typecheck import check_program
 
+from oracle import _with_vars, bounded_equiv
 from solver_oracle import (
-    reference_is_satisfiable, reference_unit_rounds, reference_witness,
+    reference_cooper_eliminate, reference_is_satisfiable, reference_lin_key,
+    reference_unit_rounds, reference_witness,
 )
 from test_presburger import _random_formula
 
@@ -41,11 +50,16 @@ def agree(f) -> tuple[bool, bool]:
     return True, True
 
 
-def test_criterion_2_stream_matches_reference():
+def criterion_2_stream():
+    """The first 3000 formulas of the acceptance suite's criterion 2."""
     rng = random.Random(90210)
+    return [_random_formula(rng, depth=2, quantify=i % 2 == 1) for i in range(3000)]
+
+
+def test_criterion_2_stream_matches_reference():
     models = 0
-    for i in range(3000):
-        _, compared = agree(_random_formula(rng, depth=2, quantify=i % 2 == 1))
+    for f in criterion_2_stream():
+        _, compared = agree(f)
         models += compared
     assert models > 1000
 
@@ -194,3 +208,124 @@ def test_unit_chain_costs_linear_folds(monkeypatch):
     folds_small = _folds_to_decide(monkeypatch, small)
     folds_large = _folds_to_decide(monkeypatch, large)
     assert folds_large <= 2.5 * folds_small, (folds_small, folds_large)
+
+
+# ---------------------------------------------------------------------------
+# Lin: equality and hash without a sorted key
+# ---------------------------------------------------------------------------
+
+def test_lin_arithmetic_matches_sorted_key():
+    rng = random.Random(7_2024)
+    names = NAMES[:4]
+    pool = [Lin({v: rng.randint(-2, 2) for v in rng.sample(names, rng.randint(0, 3))},
+                rng.randint(-2, 2)) for _ in range(40)]
+    for _ in range(3000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(6)
+        if op == 0:
+            got = a.add(b)
+            assert got == b.add(a) and hash(got) == hash(b.add(a))
+        elif op == 1:
+            got = a.sub(a.add_const(rng.randint(-2, 2)) if rng.random() < 0.3 else b)
+        elif op == 2:
+            got = a.scale(rng.choice([0, -1, 2, -3]))
+        elif op == 3:
+            got = a.drop(rng.choice(names))
+        elif op == 4:
+            got = a.add_const(rng.randint(-2, 2))
+        else:
+            got = a.subst(rng.choice(names), b)
+        assert 0 not in got.coeffs.values(), got
+        pool.append(got)
+    keys = [reference_lin_key(lin) for lin in pool]
+    for _ in range(20_000):
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        assert (pool[i] == pool[j]) == (keys[i] == keys[j]), (pool[i], pool[j])
+        if keys[i] == keys[j]:
+            assert hash(pool[i]) == hash(pool[j])
+    # forms that differ, even only in the constant, hash apart as often as
+    # their sorted keys do (hash(-1) == hash(-2), so not always)
+    by_key = {k: hash(lin) for k, lin in zip(keys, pool)}
+    assert len(set(by_key.values())) == len({hash(k) for k in by_key}) > 500
+
+
+# ---------------------------------------------------------------------------
+# cooper_eliminate: exact non-unit equalities against split-and-branch
+# ---------------------------------------------------------------------------
+
+def assert_eliminations_agree(var, body, bound):
+    """The two eliminations are equivalent; return whether a top-level
+    non-unit equality on var made the elimination exact."""
+    got, want = cooper_eliminate(var, body), reference_cooper_eliminate(var, body)
+    assert var not in free_vars(got)
+    assert bounded_equiv(got, want, bound), (var, body)
+    assert is_satisfiable(got) == is_satisfiable(want), (var, body)
+    return any(isinstance(a, EqZ) and abs(a.lin.coeff(var)) > 1
+               for a in presburger._conjuncts(simplify(body)))
+
+
+def test_cooper_eliminate_matches_reference_on_stream():
+    exact = 0
+    for f in criterion_2_stream():
+        body = eliminate_quantifiers(f.body if isinstance(f, Exists) else f)
+        names = sorted(free_vars(body))
+        if names:
+            exact += assert_eliminations_agree(
+                f.var if isinstance(f, Exists) else names[0], body, 6)
+    assert exact > 30
+
+
+def test_cooper_eliminate_matches_reference_on_strides():
+    rng = random.Random(2_12)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    for c in range(2, 13):
+        for _ in range(25):
+            parts = [eq(c * x, y + rng.randint(-3, 3)),
+                     le(Const(-12), y), le(y, Const(12))]
+            extra = rng.choice([
+                le(x, z), lt(2 * x, z + 1), ne(x, z), eq(3 * x + z, Const(1)),
+                disj(le(x, Const(0)), eq(z, 2 * x)), le(Const(-2), z + x)])
+            parts.insert(rng.randrange(len(parts) + 1), extra)
+            assert assert_eliminations_agree("x", conj(*parts), 12)
+
+
+def test_simplify_is_idempotent_on_stream():
+    # so results of `_subst_var`, which end in a simplify, need no second one
+    for f in criterion_2_stream():
+        for g in (f, nnf(f), eliminate_quantifiers(f)):
+            once = simplify(g)
+            assert simplify(once) == once, g
+
+
+# ---------------------------------------------------------------------------
+# project_onto: no hang, and the existential closure's models
+# ---------------------------------------------------------------------------
+
+def test_project_onto_stream_matches_closure():
+    stream = criterion_2_stream()
+    picks = sorted(set(random.Random(1586).sample(range(len(stream)), 750)) | {1586})
+    box = 6
+    for i in picks:
+        f = stream[i]
+        body = f.body if isinstance(f, Exists) else f
+        names = sorted(free_vars(f))
+        if not names:
+            continue
+        keep = names[0]
+        got = project_onto(f, [keep])
+        assert free_vars(got) <= {keep}, i
+        closure = exists_many(names[1:], f)
+        if bounded_equiv(got, closure, box):
+            continue
+        # The box cuts off witnesses of the closure, so compare one way
+        # pointwise: a witness inside the box is a real one.
+        inside, projected = _with_vars(closure, [keep], box), _with_vars(got, [keep], box)
+        assert np.all(~inside | projected), i
+        # Where the projection holds without a witness in the box, the
+        # solver's model must satisfy the formula.
+        for k in np.flatnonzero(projected & ~inside):
+            value = int(k) - box
+            model = witness(substitute(body, {keep: Const(value)}))
+            assert model is not None, (i, value)
+            point = {v: 0 for v in free_vars(body)} | model | {keep: value}
+            assert evaluate(body, point), (i, value)
