@@ -353,8 +353,6 @@ def cmd_explain(args) -> int:
         if ob.countermodel is not None:
             inside = ", ".join(f"{k} = {v}" for k, v in sorted(ob.countermodel.items()))
             print(f"  countermodel: {inside}")
-        if ob.note:
-            print(f"  note: {ob.note}")
     return EXIT_OK
 
 

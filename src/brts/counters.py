@@ -41,7 +41,7 @@ from .presburger import (
     conj, disj, eliminate_quantifiers, eq, evaluate, free_vars, ge, substitute,
     TRUE,
 )
-from .syntax import ChangeType, InstanceType, PermPair, StateTable, Type
+from .syntax import ChangeType, InstanceType, PermPair, StateTable
 
 
 class MachineError(Exception):
@@ -92,9 +92,6 @@ class CounterMachine:
                     f"guard of '{t.label}' mentions unknown names: {sorted(extra)}")
             _check_guard_shape(t.guard, t.label)
             self._outgoing.setdefault(t.src, []).append((t, mentioned))
-
-    def outgoing(self, state: str) -> list[Transition]:
-        return [t for t, _ in self._outgoing.get(state, ())]
 
     def successors(self, state: str, valuation: tuple[int, ...],
                    bound: int) -> Iterable[tuple[str, str, tuple[int, ...]]]:

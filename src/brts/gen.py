@@ -14,8 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagnostics import NO_SPAN
-from .presburger import Const, Formula, Lin, Var, conj, ge, TRUE
+from .presburger import Const, Formula, Var, conj, ge, TRUE
 from . import syntax as ast
 from .syntax import ChangeType, InstanceType, PermPair, VOID
 

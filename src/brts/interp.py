@@ -22,9 +22,8 @@ from .diagnostics import NO_SPAN, BrtsError, Span
 from .presburger import Lin
 from . import syntax as ast
 from .syntax import (
-    BOOL, INT, STRING, VOID,
     ChangeType, InstanceType, PermPair, PrimType, StateRef, StateTable, Type,
-    WildcardType, find_method_decl, mtype, state_table,
+    WildcardType, find_method_decl, state_table,
 )
 
 

@@ -10,7 +10,8 @@ conjuncts), ``>>`` for transitions, ``->`` is reserved for function types,
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple, Optional
 
 from .diagnostics import BrtsError, Span
 from .presburger import (
@@ -24,6 +25,17 @@ KEYWORDS = {
     "new", "let", "in", "match", "default", "while", "type", "exists",
     "true", "false",
 }
+
+# Parser frames that nested expressions may hold: a prefix `-`, `k *` or `~`
+# and the right side of `=>` take one, a parenthesised term two, and a
+# parenthesised formula or an `exists` body four.  Deeper input is a located
+# parse error, with stack to spare for what later recurses over the tree.
+MAX_NESTING = 960
+
+
+class NestingTooDeep(BrtsError):
+    """Input nested past MAX_NESTING; backtracking does not retry it."""
+
 
 SYMBOLS = [
     ">>", "->", "<-", "==", "!=", "<=", ">=", "&&", "||", "=>",
@@ -96,6 +108,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0          # frames held by enclosing nested expressions
 
     # -- token plumbing ------------------------------------------------
 
@@ -132,6 +145,18 @@ class Parser:
         t = self.peek()
         got = t.lexeme or "end of input"
         raise BrtsError("ParseError", f"{message}, found '{got}'", t.span)
+
+    @contextmanager
+    def nested(self, frames: int) -> Iterator[None]:
+        """Parse a nested expression that holds `frames` more frames."""
+        if self.depth + frames > MAX_NESTING:
+            raise NestingTooDeep("ParseError", "expression nested too deeply",
+                                 self.peek().span)
+        self.depth += frames
+        try:
+            yield
+        finally:
+            self.depth -= frames
 
     # -- program structure ---------------------------------------------
 
@@ -310,11 +335,14 @@ class Parser:
         if self.at("true") or self.at("false") or self.at("~") or self.at("exists"):
             return "formula", self.formula()
         save = self.pos
-        t = self.term()
-        if self.peek().lexeme in ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "=>"):
-            self.pos = save
-            return "formula", self.formula()
-        return "term", t
+        try:
+            t = self.term()
+            if self.peek().lexeme not in ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "=>"):
+                return "term", t
+        except BrtsError:
+            pass            # `(n >= m)` is no term, but may be a formula
+        self.pos = save
+        return "formula", self.formula()
 
     # -- formulas ---------------------------------------------------------
 
@@ -322,7 +350,8 @@ class Parser:
         f = self.formula_or()
         if self.at("=>"):
             self.advance()
-            return implies(f, self.formula())
+            with self.nested(1):
+                return implies(f, self.formula())
         return f
 
     def formula_or(self) -> Formula:
@@ -342,7 +371,8 @@ class Parser:
     def formula_unary(self) -> Formula:
         if self.at("~"):
             self.advance()
-            return neg(self.formula_unary())
+            with self.nested(1):
+                return neg(self.formula_unary())
         if self.at("exists"):
             self.advance()
             names = []
@@ -351,7 +381,8 @@ class Parser:
                 if self.at(","):
                     self.advance()
             self.expect(".")
-            body = self.formula()
+            with self.nested(4):
+                body = self.formula()
             for v in reversed(names):
                 body = exists(v, body)
             return body
@@ -365,11 +396,14 @@ class Parser:
             save = self.pos
             self.advance()
             try:
-                f = self.formula()
+                with self.nested(4):
+                    f = self.formula()
                 self.expect(")")
                 if self.peek().lexeme in ("==", "!=", "<=", ">=", "<", ">"):
                     raise BrtsError("ParseError", "comparison of formulas", self.peek().span)
                 return f
+            except NestingTooDeep:
+                raise
             except BrtsError:
                 self.pos = save
         return self.comparison()
@@ -395,21 +429,24 @@ class Parser:
     def term_factor(self) -> Term:
         if self.at("-"):
             self.advance()
-            return Neg(self.term_factor())
+            with self.nested(1):
+                return Neg(self.term_factor())
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
             value = int(tok.lexeme)
             if self.at("*"):
                 self.advance()
-                return Scale(value, self.term_factor())
+                with self.nested(1):
+                    return Scale(value, self.term_factor())
             return Const(value)
         if tok.kind == "ident":
             self.advance()
             return Var(tok.lexeme)
         if self.at("("):
             self.advance()
-            t = self.term()
+            with self.nested(2):
+                t = self.term()
             self.expect(")")
             return t
         self.fail("expected an arithmetic term")

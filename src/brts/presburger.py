@@ -5,6 +5,10 @@ built from comparison atoms with conjunction, disjunction, negation and
 existential quantification, and are decided by Cooper-style quantifier
 elimination.  All coefficients are Python ints, so nothing overflows.
 
+One search decides a formula and returns a model when there is one:
+`is_satisfiable`, `is_valid` and `witness` all run it, so a caller that
+needs a countermodel asks once and gets the verdict with it.
+
 Before any Cooper step, the decision procedure solves a conjunction's
 equalities with a unit coefficient (``x - t == 0``) by substitution, as the
 first stage of Pugh's Omega test does: all of them in one pass, rewriting
@@ -21,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +115,17 @@ class Lin:
                 return Lin.var(v)
             case Scale(c, t):
                 return Lin.of(t).scale(c)
-            case Add(a, b):
-                return Lin.of(a).add(Lin.of(b))
+            case Add():
+                # a loop down the left spine, so a long sum takes no stack,
+                # adding in recursion's order, which `_unit_pivot` sees
+                rights = []
+                while isinstance(term, Add):
+                    rights.append(term.right)
+                    term = term.left
+                lin = Lin.of(term)
+                for right in reversed(rights):
+                    lin = lin.add(Lin.of(right))
+                return lin
             case Neg(t):
                 return Lin.of(t).scale(-1)
         raise TypeError(f"not a term: {term!r}")
@@ -160,12 +173,12 @@ class Lin:
             return self
         return self.drop(var).add(value.scale(c))
 
-    def rename(self, mapping: Mapping[str, str]) -> "Lin":
-        coeffs: dict[str, int] = {}
+    def substitute(self, lins: Mapping[str, "Lin"]) -> "Lin":
+        """Simultaneous substitution of linear forms for variables."""
+        out = Lin.constant(self.const)
         for v, c in self.coeffs.items():
-            nv = mapping.get(v, v)
-            coeffs[nv] = coeffs.get(nv, 0) + c
-        return Lin(coeffs, self.const)
+            out = out.add(lins[v].scale(c) if v in lins else Lin._make({v: c}, 0))
+        return out
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         return sum(c * env[v] for v, c in self.coeffs.items()) + self.const
@@ -508,13 +521,13 @@ def _subst(f: Formula, lins: Mapping[str, Lin], range_vars: set[str]) -> Formula
         case TrueF() | FalseF():
             return f
         case Le(lin):
-            return _fold_atom(Le(_subst_lin(lin, lins)))
+            return _fold_atom(Le(lin.substitute(lins)))
         case EqZ(lin):
-            return _fold_atom(EqZ(_subst_lin(lin, lins)))
+            return _fold_atom(EqZ(lin.substitute(lins)))
         case Dvd(d, lin):
-            return _fold_atom(Dvd(d, _subst_lin(lin, lins)))
+            return _fold_atom(Dvd(d, lin.substitute(lins)))
         case NotDvd(d, lin):
-            return _fold_atom(NotDvd(d, _subst_lin(lin, lins)))
+            return _fold_atom(NotDvd(d, lin.substitute(lins)))
         case And(parts):
             return conj(*(_subst(p, lins, range_vars) for p in parts))
         case Or(parts):
@@ -533,13 +546,6 @@ def _subst(f: Formula, lins: Mapping[str, Lin], range_vars: set[str]) -> Formula
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subst_lin(lin: Lin, lins: Mapping[str, Lin]) -> Lin:
-    out = Lin.constant(lin.const)
-    for v, c in lin.coeffs.items():
-        out = out.add(lins[v].scale(c) if v in lins else Lin._make({v: c}, 0))
-    return out
-
-
 def _fresh_like(name: str, taken: set[str] | frozenset[str]) -> str:
     i = 1
     while f"{name}_{i}" in taken:
@@ -548,7 +554,7 @@ def _fresh_like(name: str, taken: set[str] | frozenset[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form and normalization
+# Negation normal form and simplification
 # ---------------------------------------------------------------------------
 
 def nnf(f: Formula) -> Formula:
@@ -610,11 +616,6 @@ def simplify(f: Formula) -> Formula:
             return Exists(v, body)
         case _:
             return _fold_atom(f)
-
-
-def normalize(f: Formula) -> Formula:
-    """Negation normal form with folded atoms; idempotent."""
-    return simplify(nnf(f))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +835,7 @@ def cooper_eliminate(var: str, f_qf: Formula) -> Formula:
         return f_qf
     if isinstance(f_qf, Or):
         return disj(*(cooper_eliminate(var, p) for p in f_qf.parts))
-    pins = [a.lin for a in _conjuncts(f_qf) if isinstance(a, EqZ) and a.lin.coeff(var)]
+    pins = _pins(f_qf, var)
     for lin in pins:
         c = lin.coeff(var)
         if abs(c) == 1:
@@ -878,22 +879,23 @@ def project_onto(f: Formula, keep: Iterable[str]) -> Formula:
         remaining = sorted(free_vars(qf) - keep_set)
         if not remaining:
             return qf
-        pick = next((v for v in remaining if _pinned_by_equality(qf, v)), None)
+        pick = next((v for v in remaining
+                     if any(abs(lin.coeff(v)) == 1 for lin in _pins(qf, v))), None)
         if pick is None:
             pick = min(remaining, key=lambda v: _disjunct_count(qf, v))
         qf = cooper_eliminate(pick, qf)
 
 
-def _pinned_by_equality(f: Formula, var: str) -> bool:
-    return any(isinstance(a, EqZ) and abs(a.lin.coeff(var)) == 1
-               for a in _conjuncts(f))
+def _pins(f: Formula, var: str) -> list[Lin]:
+    """The linear parts of f's top-level equalities that mention var."""
+    return [a.lin for a in _conjuncts(f) if isinstance(a, EqZ) and a.lin.coeff(var)]
 
 
 def _disjunct_count(f: Formula, var: str) -> int:
     """About how many disjuncts `cooper_eliminate` makes for var in f: one
     when a top-level equality pins var, else lcm(delta, periods) times one
     more than the number of lower bounds."""
-    if any(isinstance(a, EqZ) and a.lin.coeff(var) for a in _conjuncts(f)):
+    if _pins(f, var):
         return 1
     _, _, period, lowers, _ = _cooper_setup(var, f)
     return period * (len(set(lowers)) + 1)
@@ -1007,45 +1009,9 @@ def _obviously_contradictory(f: Formula) -> bool:
     return any(lin.scale(-1).add_const(1) in les for lin in les)
 
 
-def _sat_qf(f: Formula) -> bool:
-    """Decide a quantifier-free formula in negation normal form.
-
-    Disjunctions split.  A conjunction first loses all its unit equalities
-    to `_solve_unit_equalities` in one pass and is decided afresh; then it
-    splits on its smallest disjunctive conjunct; a conjunction of atoms
-    eliminates its least used variable with Cooper's method.
-    """
-    f = simplify(f)
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Not):
-        return _sat_qf(nnf(f))
-    if isinstance(f, Or):
-        return any(_sat_qf(p) for p in f.parts)
-    if _obviously_contradictory(f):
-        return False
-    rest, solved = _solve_unit_equalities(f)
-    if solved:
-        return _sat_qf(rest)
-    if isinstance(f, And):
-        # distribute over the smallest disjunctive conjunct, lazily
-        ors = [p for p in f.parts if isinstance(p, Or)]
-        if ors:
-            branch = min(ors, key=lambda p: len(p.parts))
-            rest = conj(*(p for p in f.parts if p is not branch))
-            return any(_sat_qf(conj(rest, alt)) for alt in branch.parts)
-        nots = [p for p in f.parts if isinstance(p, Not)]
-        if nots:
-            return _sat_qf(conj(*(nnf(p) for p in f.parts)))
-    v = _pick_var(f)
-    return any(_sat_qf(b.formula) for b in _cooper_branches(v, f))
-
-
 def is_satisfiable(f: Formula) -> bool:
     """True iff some integer assignment of the free variables satisfies f."""
-    return _sat_qf(nnf(eliminate_quantifiers(f)))
+    return _witness_qf(simplify(nnf(eliminate_quantifiers(f)))) is not None
 
 
 def is_valid(f: Formula) -> bool:
@@ -1073,16 +1039,7 @@ def tidy(f: Formula) -> Formula:
     match f:
         case Or(parts):
             kept = list(dict.fromkeys(tidy(p) for p in parts))
-            changed = True
-            while changed and len(kept) > 1:
-                changed = False
-                for i, p in enumerate(kept):
-                    rest = kept[:i] + kept[i + 1:]
-                    if entails(p, disj(*rest)):
-                        kept.pop(i)
-                        changed = True
-                        break
-            return disj(*kept)
+            return disj(*_drop_covered(kept, lambda p, rest: entails(p, disj(*rest))))
         case And(parts):
             pieces = [tidy(p) for p in parts]
             merged: list[Formula] = []
@@ -1091,26 +1048,28 @@ def tidy(f: Formula) -> Formula:
             for lin, atom in les.items():
                 flipped = lin.scale(-1)
                 if flipped in les and atom not in consumed:
-                    partner = les[flipped]
                     merged.append(_fold_atom(EqZ(lin)))
-                    consumed.add(atom)
-                    consumed.add(partner)
-            pieces = merged + [p for p in pieces if p not in consumed]
-            kept = list(dict.fromkeys(pieces))
-            changed = True
-            while changed and len(kept) > 1:
-                changed = False
-                for i, p in enumerate(kept):
-                    rest = kept[:i] + kept[i + 1:]
-                    if entails(conj(*rest), p):
-                        kept.pop(i)
-                        changed = True
-                        break
-            return conj(*kept)
+                    consumed |= {atom, les[flipped]}
+            kept = list(dict.fromkeys(merged + [p for p in pieces if p not in consumed]))
+            return conj(*_drop_covered(kept, lambda p, rest: entails(conj(*rest), p)))
         case Not(body):
             return neg(tidy(body))
         case _:
             return f
+
+
+def _drop_covered(kept: list[Formula],
+                  covered: Callable[[Formula, list[Formula]], bool]) -> list[Formula]:
+    """Drop the first member for which `covered(member, the others)` holds,
+    and look again from the start, until none does or one is left."""
+    i = 0
+    while i < len(kept) and len(kept) > 1:
+        if covered(kept[i], kept[:i] + kept[i + 1:]):
+            kept.pop(i)
+            i = 0
+        else:
+            i += 1
+    return kept
 
 
 def witness(f: Formula) -> Optional[dict[str, int]]:
@@ -1129,13 +1088,27 @@ def witness(f: Formula) -> Optional[dict[str, int]]:
     return model
 
 
+def _evaluate_filling(lin: Lin, model: dict[str, int]) -> int:
+    """lin's value under model, once its variables model lacks are set to 0."""
+    for w in lin.variables():
+        model.setdefault(w, 0)
+    return lin.evaluate(model)
+
+
 def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
+    """A model of a simplified quantifier-free formula in negation normal
+    form (so without `Not` nodes), or None.
+
+    Disjunctions split.  A conjunction first loses all its unit equalities
+    to `_solve_unit_equalities` in one pass and is decided afresh; then it
+    splits on its smallest disjunctive conjunct; a conjunction of atoms
+    eliminates its least used variable with Cooper's method.  The model is
+    built only on the way back from a branch that succeeds.
+    """
     if isinstance(f, TrueF):
         return {}
     if isinstance(f, FalseF):
         return None
-    if isinstance(f, Not):
-        return _witness_qf(simplify(nnf(f)))
     if isinstance(f, Or):
         for p in f.parts:
             m = _witness_qf(simplify(p))
@@ -1150,9 +1123,7 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
         if m is None:
             return None
         for v, value in reversed(solved):
-            for w in value.variables():
-                m.setdefault(w, 0)
-            m[v] = value.evaluate(m)
+            m[v] = _evaluate_filling(value, m)
         return m
     if isinstance(f, And):
         ors = [p for p in f.parts if isinstance(p, Or)]
@@ -1164,8 +1135,6 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
                 if m is not None:
                     return m
             return None
-        if any(isinstance(p, Not) for p in f.parts):
-            return _witness_qf(simplify(conj(*(nnf(p) for p in f.parts))))
     v = _pick_var(f)
     for b in _cooper_branches(v, f):
         m = _witness_qf(b.formula)
@@ -1174,15 +1143,9 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
         for w in free_vars(b.formula):
             m.setdefault(w, 0)
         if b.exact is not None:
-            for w in b.exact.variables():
-                m.setdefault(w, 0)
-            scaled = b.exact.evaluate(m)
+            scaled = _evaluate_filling(b.exact, m)
         else:
-            vals = []
-            for bound in b.bounds:
-                for w in bound.variables():
-                    m.setdefault(w, 0)
-                vals.append(bound.evaluate(m))
+            vals = [_evaluate_filling(bound, m) for bound in b.bounds]
             if vals:
                 top = min(vals) - 1
                 scaled = top - ((top - b.residue) % b.period)

@@ -7,11 +7,11 @@ unit value.  All nodes are frozen and carry a source span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Span
-from .presburger import Formula, Term, TRUE
+from .presburger import Formula, Term
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ from typing import Iterable, Optional
 from .diagnostics import NO_SPAN, BrtsError, Diagnostic, Span
 from .presburger import (
     Const, Formula, Lin, Term, Var,
-    conj, disj, entails, eq, evaluate, exists_many, formula_equal, free_vars,
-    implies, is_satisfiable, is_valid, neg, ne, project_onto, render,
-    render_term, simplify, substitute, tidy, witness, FALSE, TRUE,
+    conj, disj, entails, eq, exists_many, formula_equal, free_vars, implies,
+    is_satisfiable, neg, ne, project_onto, render, simplify, substitute, tidy,
+    witness, FALSE, TRUE,
 )
 from . import syntax as ast
 from .syntax import (
     BOOL, INT, STRING, VOID,
-    ChangeType, InstanceType, MethodType, PermPair, PrimType, StateRef,
+    ChangeType, InstanceType, PermPair, PrimType, StateRef,
     StateTable, Type, UnionType, WildcardType,
     find_method_decl, mtype, state_table,
 )
@@ -48,14 +48,6 @@ from .syntax import (
 class Binding:
     type: Type
     mutable: bool = True
-
-
-@dataclass
-class CheckResult:
-    """What checking an expression produced: its type and the grown
-    constraint environment."""
-    type: Type
-    phi: Formula
 
 
 class Ctx:
@@ -134,7 +126,6 @@ class Obligation:
     goal_f: Formula            # the constraint put to the solver
     verdict: bool
     countermodel: Optional[dict[str, int]] = None
-    note: Optional[str] = None
 
     @property
     def phi(self) -> str:
@@ -158,8 +149,6 @@ class Obligation:
         }
         if self.countermodel is not None:
             out["countermodel"] = self.countermodel
-        if self.note:
-            out["note"] = self.note
         return out
 
 
@@ -402,7 +391,7 @@ class Checker:
                            f"'{name}' loses its '{post_i.family}' typestate in the body",
                            span)
             goal = conj(*(eq(a, b) for a, b in zip(got_i.args, post_i.args)))
-            ok = self.solve(ctx, "post", span, goal, method=method)
+            ok = self.solve(ctx, "post", span, goal)
             if not ok:
                 self.error(
                     "BodyBreaksPostcondition",
@@ -482,8 +471,8 @@ class Checker:
             if v not in ren:
                 ren[v] = ctx.fresh(v)
             ctx.logical_vars.add(ren[v])
-        mapping = {v: Var(n) for v, n in ren.items()}
-        args = tuple(_subst_term(a, mapping) for a in inst.args)
+        mapping = {v: Lin.var(n) for v, n in ren.items()}
+        args = tuple(Lin.of(a).substitute(mapping).to_term() for a in inst.args)
         constraint = substitute(inst.constraint, mapping)
         opened = InstanceType(inst.family, args, constraint, inst.state)
         if assume:
@@ -579,16 +568,14 @@ class Checker:
     # -- the solver funnel ------------------------------------------------------
 
     def solve(self, ctx: Ctx, rule: str, span: Span, goal: Formula,
-              sig_vars: Iterable[str] = (), method: str | None = None,
-              note: str | None = None) -> bool:
+              sig_vars: Iterable[str] = ()) -> bool:
         """One obligation: ctx.phi must entail goal (with the signature's
-        fresh variables existentially instantiated)."""
+        fresh variables existentially instantiated).  One search decides it:
+        it holds exactly when ctx.phi && ~goal has no model to report."""
         closed = exists_many(sorted(sig_vars), goal)
-        query = implies(ctx.phi, closed)
-        verdict = is_valid(query)
-        model = None if verdict else witness(conj(ctx.phi, neg(closed)))
-        self.obligations.append(Obligation(span, rule, ctx.phi, closed,
-                                           verdict, model, note))
+        model = witness(conj(ctx.phi, neg(closed)))
+        verdict = model is None
+        self.obligations.append(Obligation(span, rule, ctx.phi, closed, verdict, model))
         return verdict
 
     # -- expressions ------------------------------------------------------------
@@ -631,9 +618,6 @@ class Checker:
                 return self.infer_while(ctx, e)
         self.error("IllFormedType", f"cannot type expression {e!r}", getattr(e, "span", NO_SPAN))
 
-    def infer_expr(self, ctx: Ctx, e: ast.Expr) -> CheckResult:
-        return CheckResult(self.infer(ctx, e), ctx.phi)
-
     def infer_new(self, ctx: Ctx, e: ast.NewObj) -> Type:
         if e.state not in ctx.st:
             self.error("IllFormedType", f"unknown state '{e.state}'", e.span)
@@ -647,10 +631,10 @@ class Checker:
     def infer_literal(self, ctx: Ctx, e: ast.TypestateLit) -> Type:
         inst = self.resolve_instance(ctx, e.inst, e.span)
         if ctx.annot_names:
-            mapping = {u: Var(f) for u, f in ctx.annot_names.items()}
+            mapping = {u: Lin.var(f) for u, f in ctx.annot_names.items()}
             inst = replace(
                 inst,
-                args=tuple(_subst_term(a, mapping) for a in inst.args),
+                args=tuple(Lin.of(a).substitute(mapping).to_term() for a in inst.args),
                 constraint=substitute(inst.constraint, mapping))
         scope = free_vars(inst.constraint)
         for a in inst.args:
@@ -1065,8 +1049,7 @@ class Checker:
             pre_f = pre_i.constraint
             post_f = post_i.constraint if post_i is not None else TRUE
             goal = conj(bindings, pre_f, post_f)
-            ok = self.solve(ctx, "mcall", span, goal, sig_vars=sig_vars,
-                            method=call.method)
+            ok = self.solve(ctx, "mcall", span, goal, sig_vars=sig_vars)
             if not ok:
                 self._report_call_failure(ctx, call, actual, pname, got_i, pre_i,
                                           post_i, bindings, pre_f, post_f,
@@ -1090,9 +1073,7 @@ class Checker:
             post_state = _state_of(post)
             if post_state is not None:
                 if got_i is not None and got_i.family is not None:
-                    rebind_to = _with_instance(got if not isinstance(got, PermPair)
-                                               else got,
-                                               replace(got_i, state=post_state))
+                    rebind_to = _with_instance(got, replace(got_i, state=post_state))
                 else:
                     inner: Type = StateRef(post_state)
                     rebind_to = (PermPair(got.perm, inner)
@@ -1102,18 +1083,14 @@ class Checker:
 
     def _report_call_failure(self, ctx: Ctx, call, actual, pname, got_i, pre_i,
                              post_i, bindings, pre_f, post_f, sig_vars, span):
-        coords = tuple()
         fam = ctx.st.find_family(pre_i.family) if pre_i.family else None
-        if fam is not None:
-            coords = fam.coord_vars
-        pre_ok = is_valid(implies(ctx.phi, exists_many(sorted(sig_vars),
-                                                       conj(bindings, pre_f))))
+        coords = fam.coord_vars if fam is not None else ()
+        model = witness(conj(ctx.phi, neg(exists_many(sorted(sig_vars),
+                                                      conj(bindings, pre_f)))))
+        pre_ok = model is None
         here = render(tidy(self.inst_formula(ctx, got_i)))
         if not pre_ok:
             required = render(tidy(self._side_formula(coords, pre_i)))
-            model = witness(conj(ctx.phi,
-                                 neg(exists_many(sorted(sig_vars),
-                                                 conj(bindings, pre_f)))))
             grounded = self._ground_coords(coords, got_i, model)
             self.error(
                 "PreconditionViolation",
@@ -1335,17 +1312,6 @@ def _retag(ty: Type, state: str) -> Type:
     if isinstance(ty, StateRef):
         return StateRef(state)
     return ty
-
-
-def _subst_term(t: Term, mapping: dict[str, Term]) -> Term:
-    lin = Lin.of(t)
-    out = Lin({}, lin.const)
-    for v, c in lin.coeffs.items():
-        if v in mapping:
-            out = out.add(Lin.of(mapping[v]).scale(c))
-        else:
-            out = out.add(Lin({v: c}))
-    return out.to_term()
 
 
 def _show(ty: Type) -> str:

@@ -8,6 +8,10 @@ Everything else (Cooper branches, disjunction splitting, the contradiction
 check) is the module's own code.  Slow on long equality chains and
 obviously faithful, which is what an oracle is for.
 
+`reference_lin_of` flattens a term by plain recursion, one frame per
+node; `Lin.of` walks a sum's left spine in a loop and must make the same
+additions in the same order.
+
 `reference_lin_key` is the sorted key that `Lin` equality and hashing
 once went through, and `reference_cooper_eliminate` is the elimination
 step that split every equality on the variable into two inequalities and
@@ -19,10 +23,26 @@ from __future__ import annotations
 from typing import Optional
 
 from brts.presburger import (
-    EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
-    _obviously_contradictory, _pick_var, _subst_var, conj, disj,
-    eliminate_quantifiers, evaluate, free_vars, nnf, simplify,
+    Add, Const, EqZ, FALSE, TRUE, And, Formula, Lin, Neg, Not, Or, Scale, Term,
+    Var, _conjuncts, _cooper_branches, _obviously_contradictory, _pick_var,
+    _subst_var, conj, disj, eliminate_quantifiers, evaluate, free_vars, nnf,
+    simplify,
 )
+
+
+def reference_lin_of(term: Term) -> Lin:
+    match term:
+        case Const(k):
+            return Lin.constant(k)
+        case Var(v):
+            return Lin.var(v)
+        case Scale(c, t):
+            return reference_lin_of(t).scale(c)
+        case Add(a, b):
+            return reference_lin_of(a).add(reference_lin_of(b))
+        case Neg(t):
+            return reference_lin_of(t).scale(-1)
+    raise TypeError(f"not a term: {term!r}")
 
 
 def reference_lin_key(lin: Lin) -> tuple[tuple[tuple[str, int], ...], int]:

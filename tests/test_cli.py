@@ -469,3 +469,78 @@ def test_check_many_statements(tmp_path):
     program.write_text("state Main { void main()[] {\n" + "1;\n" * 3000 + "} }\n")
     out = brts("check", str(program))
     assert out.returncode == 0, out.stderr[-300:]
+
+
+# ---------------------------------------------------------------------------
+# deep and long expressions, parenthesised constraints
+# ---------------------------------------------------------------------------
+
+def _counter_program(coord: str = "0", constraint: str = "0 >= 0") -> str:
+    """One counter object; line 11 declares it at phi(coord, constraint)
+    and line 12, column 17 holds the obligation of its one call."""
+    return ("state Box { }\nstate Ops {\n    type B : Pi(phi(n), Box);\n"
+            "    void inc((1, B(phi(n), Box)) >> (1, B(phi(n + 1), Box)) w)[] {\n"
+            "        w <- (1, B(phi(n + 1), Box));\n    }\n}\n"
+            "state Main {\n    void main()[] {\n"
+            "        var (1, _) ops = new Ops();\n"
+            f"        var (1, B(phi({coord}, {constraint}), Box)) w = new Box();\n"
+            "        ops.inc(w);\n        w;\n    }\n}\n")
+
+
+COMMANDS = [("check",), ("fmt",), ("run", "--unchecked"), ("explain", "--at", "12:17")]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_nesting_bound_is_a_located_parse_error(tmp_path, command):
+    from brts.parser import MAX_NESTING
+
+    program = tmp_path / "deep.brts"
+    program.write_text(_counter_program(coord="- " * MAX_NESTING + "0"))
+    out = brts(command[0], str(program), *command[1:])
+    assert out.returncode == 0, out.stderr[-300:]
+    program.write_text(_counter_program(coord="- " * (MAX_NESTING + 1) + "0"))
+    out = brts(command[0], str(program), *command[1:])
+    assert out.returncode == 2, out.stderr[-300:]
+    first = out.stderr.splitlines()[0]
+    assert first.startswith(f"{program}:11:")
+    assert first.endswith("error: expression nested too deeply [BRTS002]")
+
+
+@pytest.mark.parametrize("field, wrap, inner, frames", [
+    ("coord", "({})", "0", 2),
+    ("coord", "1 * {}", "0", 1),
+    ("constraint", "0 >= 0 && ({})", "0 >= 0", 4),
+    ("constraint", "~ {}", "0 >= 0", 1),
+], ids=["term-parens", "scales", "formula-parens", "negations"])
+def test_nesting_bound_holds_for_every_nested_form(tmp_path, field, wrap, inner, frames):
+    from brts.parser import MAX_NESTING
+
+    program = tmp_path / "deep.brts"
+    levels = MAX_NESTING // frames
+    for k, code in ((levels, 0), (levels + 1, 2)):
+        text = inner
+        for _ in range(k):
+            text = wrap.format(text)
+        program.write_text(_counter_program(**{field: text}))
+        out = brts("check", str(program))
+        assert out.returncode == code, (k, out.stderr[-300:])
+
+
+def test_long_sum_checks_formats_and_runs(tmp_path):
+    program = tmp_path / "sum.brts"
+    program.write_text(_counter_program(coord="0 + " * 2999 + "0",
+                                        constraint="n + " * 2999 + "n >= 0"))
+    assert brts("check", str(program)).returncode == 0
+    out = brts("fmt", str(program))
+    assert out.returncode == 0, out.stderr[-300:]
+    out = brts("run", "--unchecked", str(program))
+    assert out.returncode == 0, out.stderr[-300:]
+    assert out.stdout == "Box@phi(1)\n"
+
+
+@pytest.mark.parametrize("constraint", ["(0 >= 0)", "(n >= 0) && n >= 0", "n >= 0 && (n >= 0)"])
+def test_parenthesised_constraint_parses(tmp_path, constraint):
+    program = tmp_path / "paren.brts"
+    program.write_text(_counter_program(constraint=constraint))
+    out = brts("check", str(program))
+    assert out.returncode == 0, out.stderr

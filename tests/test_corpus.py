@@ -2,13 +2,16 @@
 model-checks exactly as its golden expectations say.
 
 Each case directory holds the programs, the guarded machine, a faulty
-mutant machine, and one .expected file per program pinning the full
-diagnostic output.  Regenerate goldens with REGEN_GOLDENS=1 after a
-deliberate diagnostic change.
+mutant machine, one .expected file per program pinning the full
+diagnostic output, and one .obligations.jsonl file per program pinning
+what `brts check --emit-obligations` prints (rendered environments, fresh
+names, verdicts and countermodels).  Regenerate goldens with
+REGEN_GOLDENS=1 after a deliberate diagnostic change.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -74,6 +77,23 @@ def rendered_diagnostics(path: Path) -> str:
 def test_golden_diagnostics(path: Path):
     golden = path.with_suffix(".expected")
     got = rendered_diagnostics(path)
+    if os.environ.get("REGEN_GOLDENS"):
+        golden.write_text(got)
+    assert golden.exists(), f"missing golden file {golden}; run with REGEN_GOLDENS=1"
+    assert got == golden.read_text()
+
+
+def emitted_obligations(path: Path) -> str:
+    """What `brts check --emit-obligations` prints on stdout for `path`."""
+    _, checker, _ = check_file(path)
+    obligations = checker.obligations if checker is not None else []
+    return "".join(json.dumps(ob.to_json()) + "\n" for ob in obligations)
+
+
+@pytest.mark.parametrize("path", corpus_files("*/*.brts"), ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_golden_obligations(path: Path):
+    golden = path.with_suffix(".obligations.jsonl")
+    got = emitted_obligations(path)
     if os.environ.get("REGEN_GOLDENS"):
         golden.write_text(got)
     assert golden.exists(), f"missing golden file {golden}; run with REGEN_GOLDENS=1"

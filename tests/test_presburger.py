@@ -8,7 +8,7 @@ from brts.presburger import (
     Const, Dvd, EqZ, Exists, Le, Lin, Var,
     conj, disj, eliminate_quantifiers, entails, eq, evaluate, exists,
     exists_many, formula_equal, free_vars, ge, gt, implies, is_satisfiable,
-    is_valid, le, lt, ne, neg, normalize, render, simplify, substitute,
+    is_valid, le, lt, ne, neg, nnf, render, simplify, substitute,
     witness, FALSE, TRUE,
 )
 from oracle import bounded_equiv, bounded_sat
@@ -17,32 +17,32 @@ p, q, c, x, y = Var("p"), Var("q"), Var("c"), Var("x"), Var("y")
 
 
 # ---------------------------------------------------------------------------
-# normalize
+# normalization: negation normal form, then simplification
 # ---------------------------------------------------------------------------
 
 def test_normalize_negated_le():
     # not (x <= 3)  <=>  x >= 4
-    f = normalize(neg(le(x, Const(3))))
+    f = simplify(nnf(neg(le(x, Const(3)))))
     assert formula_equal(f, ge(x, Const(4)))
     assert bounded_equiv(f, ge(x, Const(4)), 8)
 
 
 def test_normalize_not_true():
-    assert normalize(neg(TRUE)) == FALSE
+    assert simplify(nnf(neg(TRUE))) == FALSE
 
 
 def test_normalize_negated_conjunction():
     f = neg(conj(eq(x, y), le(x, Const(0))))
     expected = disj(ne(x, y), ge(x, Const(1)))
-    assert bounded_equiv(normalize(f), expected, 5)
+    assert bounded_equiv(simplify(nnf(f)), expected, 5)
 
 
 def test_normalize_idempotent():
     rng = random.Random(7)
     for _ in range(200):
         f = _random_formula(rng, depth=3)
-        once = normalize(f)
-        assert normalize(once) == once
+        once = simplify(nnf(f))
+        assert simplify(nnf(once)) == once
         assert bounded_equiv(f, once, 6)
 
 

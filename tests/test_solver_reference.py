@@ -4,7 +4,11 @@
 The one-pass unit-equality elimination must agree with the
 one-equality-per-recursion reference exactly: the same boolean from
 `is_satisfiable` and the same `witness` model, value for value and in the
-same key order.  `Lin` equality and hashing must agree with the sorted
+same key order.  `is_satisfiable` and `witness` run one search, so a
+model must exist exactly when the reference says the formula is
+satisfiable, and every obligation the checker decides by looking for a
+countermodel must get the verdict `is_valid(phi => goal)` gives it.
+`Lin` equality and hashing must agree with the sorted
 key, and the exact elimination of non-unit equalities must be equivalent
 to splitting them and branching.
 """
@@ -19,16 +23,17 @@ import brts.typecheck as typecheck
 from brts.gen import synthesize_program
 from brts.parser import parse_program
 from brts.presburger import (
-    Const, EqZ, Exists, Lin, Var, _solve_unit_equalities, conj, cooper_eliminate,
-    disj, eliminate_quantifiers, eq, evaluate, exists_many, free_vars,
-    is_satisfiable, le, lt, ne, nnf, project_onto, simplify, substitute, witness,
+    Add, Const, EqZ, Exists, Lin, Neg, Scale, Var, _solve_unit_equalities, conj,
+    cooper_eliminate, disj, eliminate_quantifiers, eq, evaluate, exists_many,
+    free_vars, implies, is_satisfiable, is_valid, le, lt, ne, nnf, project_onto,
+    simplify, substitute, witness,
 )
 from brts.typecheck import check_program
 
 from oracle import _with_vars, bounded_equiv
 from solver_oracle import (
     reference_cooper_eliminate, reference_is_satisfiable, reference_lin_key,
-    reference_unit_rounds, reference_witness,
+    reference_lin_of, reference_unit_rounds, reference_witness,
 )
 from test_presburger import _random_formula
 
@@ -59,7 +64,10 @@ def criterion_2_stream():
 def test_criterion_2_stream_matches_reference():
     models = 0
     for f in criterion_2_stream():
-        _, compared = agree(f)
+        satisfiable, compared = agree(f)
+        # one search decides and explains: a model exists exactly when the
+        # formula is satisfiable
+        assert (witness(f) is not None) == satisfiable, f
         models += compared
     assert models > 1000
 
@@ -69,8 +77,9 @@ def test_criterion_2_stream_matches_reference():
 # ---------------------------------------------------------------------------
 
 def checker_queries(monkeypatch, programs):
-    """Every is_satisfiable and witness query made while checking programs."""
-    sat_queries, witness_queries = [], []
+    """Every is_satisfiable and witness query made while checking programs,
+    and every obligation the checks recorded."""
+    sat_queries, witness_queries, obligations = [], [], []
     real_sat, real_witness = presburger.is_satisfiable, presburger.witness
 
     def recording_sat(f):
@@ -87,8 +96,8 @@ def checker_queries(monkeypatch, programs):
             m.setattr(module, "is_satisfiable", recording_sat)
             m.setattr(module, "witness", recording_witness)
         for program in programs:
-            check_program(program)
-    return sat_queries, witness_queries
+            obligations += check_program(program).obligations
+    return sat_queries, witness_queries, obligations
 
 
 def test_checker_queries_match_reference(monkeypatch):
@@ -96,8 +105,14 @@ def test_checker_queries_match_reference(monkeypatch):
                 for p in sorted(CORPUS.glob("*/*.brts"))]
     rng = random.Random(1_000_003)
     programs += [synthesize_program(rng, i, depth=6)[0] for i in range(50)]
-    sat_queries, witness_queries = checker_queries(monkeypatch, programs)
-    assert len(sat_queries) > 500 and len(witness_queries) > 10
+    sat_queries, witness_queries, obligations = checker_queries(monkeypatch, programs)
+    assert len(sat_queries) > 50 and len(witness_queries) > 500
+    # each obligation is decided by the search for its countermodel, and
+    # must get the verdict the validity of phi => goal gives it
+    assert any(not ob.verdict for ob in obligations)
+    for ob in obligations:
+        assert ob.verdict == is_valid(implies(ob.phi_f, ob.goal_f)), ob
+        assert (ob.countermodel is None) == ob.verdict, ob
     for f in sat_queries:
         assert is_satisfiable(f) == reference_is_satisfiable(f), f
     for f in witness_queries:
@@ -329,3 +344,46 @@ def test_project_onto_stream_matches_closure():
             assert model is not None, (i, value)
             point = {v: 0 for v in free_vars(body)} | model | {keep: value}
             assert evaluate(body, point), (i, value)
+
+
+# ---------------------------------------------------------------------------
+# Lin.of: an iterative left spine, the additions of the recursion
+# ---------------------------------------------------------------------------
+
+def _cancelling_term(rng: random.Random, depth: int):
+    """A random term whose parenthesised parts often cancel what the sum
+    around them holds, so coefficients vanish and come back in new places."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Var(rng.choice("nmk")), Const(rng.randint(-2, 2))])
+    shape = rng.random()
+    if shape < 0.5:
+        t = _cancelling_term(rng, depth - 1)
+        for _ in range(rng.randint(1, 4)):
+            t = Add(t, _cancelling_term(rng, depth - 1))
+        return t
+    if shape < 0.7:
+        inner = _cancelling_term(rng, depth - 1)
+        return Add(inner, Neg(inner)) if rng.random() < 0.5 else Add(Neg(inner), inner)
+    if shape < 0.85:
+        return Neg(_cancelling_term(rng, depth - 1))
+    return Scale(rng.randint(-3, 3), _cancelling_term(rng, depth - 1))
+
+
+def test_lin_of_matches_recursive_reference():
+    n, m = Var("n"), Var("m")
+    # n + m + (-n + n): summed flat, n would drop out and come back after m
+    tricky = Add(Add(n, m), Add(Neg(n), n))
+    assert list(Lin.of(tricky).coeffs) == list(reference_lin_of(tricky).coeffs) == ["n", "m"]
+    rng = random.Random(4242)
+    for _ in range(3000):
+        t = _cancelling_term(rng, 4)
+        got, want = Lin.of(t), reference_lin_of(t)
+        assert got == want, t
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), t
+
+
+def test_lin_of_takes_a_long_sum_without_recursing():
+    t = Var("n")
+    for i in range(20000):
+        t = Add(t, Neg(Var("n")) if i % 2 else Var("m"))
+    assert Lin.of(t) == Lin({"n": -9999, "m": 10000})

@@ -145,9 +145,8 @@ def test_constant_leaves_phi_unchanged():
     checker = check_source(BUFFER_STATES + GOOD_MAIN)
     ctx = Ctx(checker.st, checker)
     before = ctx.phi
-    result = checker.infer_expr(ctx, ast.IntLit(5))
-    assert result.type == INT
-    assert result.phi == before
+    assert checker.infer(ctx, ast.IntLit(5)) == INT
+    assert ctx.phi == before
 
 
 # ---------------------------------------------------------------------------
