@@ -3,14 +3,12 @@
 Exit codes are part of the interface:
   0 success, 1 type errors, 2 parse errors, 3 internal error,
   4 runtime error, 5 simulation counterexample.
-Defaults for --fuel and --bound come from BRTS_FUEL and BRTS_BOUND.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,13 +32,6 @@ EXIT_RUNTIME = 4
 EXIT_SIMULATION = 5
 
 
-def _env_int(name: str, fallback: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return fallback
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="brts",
                                      description="typestate toolchain for .brts programs")
@@ -57,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate a program's main method")
     run.add_argument("file")
     run.add_argument("--mode", choices=["concrete", "abstract"], default="concrete")
-    run.add_argument("--fuel", type=int, default=_env_int("BRTS_FUEL", 10 ** 6))
+    run.add_argument("--fuel", type=int, default=10 ** 6)
     run.add_argument("--trace", action="store_true", help="JSON-lines rule trace")
     run.add_argument("--unchecked", action="store_true",
                      help="skip typechecking before running")
@@ -66,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="check that a program's typestates simulate a machine")
     sim.add_argument("machine", help=".mca machine file")
     sim.add_argument("program", help=".brts program supplying the annotations")
-    sim.add_argument("--bound", type=int, default=_env_int("BRTS_BOUND", 3))
+    sim.add_argument("--bound", type=int, default=3)
     sim.add_argument("--final-state", default=None,
                      help="program-side states at or below this one are final")
     sim.add_argument("--final-formula", default=None,
@@ -76,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     reach = sub.add_parser("reach", help="search a machine for a bad valuation")
     reach.add_argument("machine")
     reach.add_argument("--bad", required=True, help="bad-state formula over the counters")
-    reach.add_argument("--bound", type=int, default=_env_int("BRTS_BOUND", 6))
+    reach.add_argument("--bound", type=int, default=6)
     reach.add_argument("--json", action="store_true")
     reach.add_argument("--dot", action="store_true", help="witness as DOT")
 
@@ -89,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export-lts", help="bounded machine LTS as DOT")
     export.add_argument("machine")
-    export.add_argument("--bound", type=int, default=_env_int("BRTS_BOUND", 3))
+    export.add_argument("--bound", type=int, default=3)
     return parser
 
 

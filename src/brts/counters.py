@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional
 from .diagnostics import BrtsError
 from .parser import parse_formula
 from .presburger import (
-    And, Const, EqZ, Formula, Le, Lin, Term, TrueF, Var,
+    And, Const, EqZ, Formula, Le, Lin, TrueF, Var,
     conj, disj, eliminate_quantifiers, eq, evaluate, free_vars, ge, substitute,
     TRUE,
 )
@@ -220,10 +220,10 @@ class Annotation:
     """One transition contract: a labelled pre/post typestate pair."""
     label: str
     pre_state: str
-    pre_args: tuple[Term, ...]
+    pre_args: tuple[Lin, ...]
     pre_constraint: Formula
     post_state: str
-    post_args: tuple[Term, ...]
+    post_args: tuple[Lin, ...]
     post_constraint: Formula
 
 
@@ -258,8 +258,7 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     """Ground transition system of a set of typestate contracts: states pair
     a state name with a counter valuation reachable by applying contracts."""
     annotations = list(annotations)
-    init_args = [Lin.of(a) for a in initial.args]
-    if not all(l.is_const for l in init_args):
+    if not all(a.is_const for a in initial.args):
         raise MachineError("UnsatisfiableInitial",
                            "initial instance needs ground coordinates")
     if initial.constraint != TRUE:
@@ -267,7 +266,7 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
         if free_vars(grounded) or not evaluate(grounded, {}):
             raise MachineError("UnsatisfiableInitial",
                                "initial instance constraint does not hold")
-    init = LtsState(initial.state, tuple(l.const for l in init_args))
+    init = LtsState(initial.state, tuple(a.const for a in initial.args))
     counters = tuple(f"c{i}" for i in range(len(init.valuation)))
     lts = Lts(counters, init)
     seen = {(init.control, init.valuation): init}
@@ -323,8 +322,8 @@ class _Contract:
 
     def __init__(self, ann: Annotation, arity: int):
         self.ann = ann
-        pre = [Lin.of(a) for a in ann.pre_args[:arity]]
-        self.post = tuple(Lin.of(a) for a in ann.post_args)
+        pre = ann.pre_args[:arity]
+        self.post = ann.post_args
         self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
         pins: dict[str, int] = {}
         for i, lin in enumerate(pre):
@@ -671,10 +670,8 @@ def accelerate_self_loop(machine: CounterMachine, loop: Transition,
     pre = conj(*pre_atoms) if pre_atoms else TRUE
     frame = conj(*(eq(Var(primed(c)), Var(c)) for c in machine.counters))
     advance = conj(*(
-        eq(Var(primed(c)), Var(c) + Lin({k_name: deltas[c]}).to_term())
-        for c in machine.counters))
-    last = {c: Var(c) + Lin({k_name: deltas[c]}).to_term()
-            + Const(-deltas[c]) for c in machine.counters}
+        eq(Var(primed(c)), Var(c) + deltas[c] * k) for c in machine.counters))
+    last = {c: Var(c) + deltas[c] * k - deltas[c] for c in machine.counters}
     pre_at_last = substitute(pre, last)
     return disj(
         conj(eq(k, Const(0)), frame),

@@ -44,8 +44,7 @@ def _bound_formula(coords: tuple[str, ...], lows: tuple[int, ...],
     parts = []
     for i, (c, lo) in enumerate(zip(coords, lows)):
         shift = offset[i] if offset else 0
-        term = Var(c) + shift if shift else Var(c)
-        parts.append(ge(term, Const(lo)))
+        parts.append(ge(Var(c) + shift, Const(lo)))
     return conj(*parts) if parts else TRUE
 
 
@@ -74,8 +73,7 @@ def synthesize_spec(rng: random.Random, index: int) -> GenSpec:
 def _method_decl(spec: GenSpec, m: GenMethod) -> ast.MethodDecl:
     pre_inst = InstanceType(spec.family, tuple(Var(c) for c in spec.coords),
                             _bound_formula(spec.coords, m.pre_lo), m.pre_state)
-    post_args = tuple(Var(c) + d if d else Var(c)
-                      for c, d in zip(spec.coords, m.delta))
+    post_args = tuple(Var(c) + d for c, d in zip(spec.coords, m.delta))
     post_inst = InstanceType(spec.family, post_args,
                              _bound_formula(spec.coords, m.pre_lo, m.delta),
                              m.post_state)

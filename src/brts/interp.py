@@ -249,8 +249,7 @@ class Interp:
     def _sigma(self) -> dict[str, int]:
         return self._sigma_stack[-1]
 
-    def _eval_term(self, term, span: Span) -> int:
-        lin = Lin.of(term)
+    def _eval_term(self, lin: Lin, span: Span) -> int:
         env = {}
         for v in lin.variables():
             if v not in self._sigma:
@@ -400,9 +399,8 @@ class Interp:
         inst = declared.inner if isinstance(declared, PermPair) else declared
         if isinstance(inst, InstanceType) and inst.args and isinstance(value, ObjV):
             if value.coords is None:
-                ground = all(Lin.of(a).is_const for a in inst.args)
-                if ground:
-                    coords = tuple(Lin.of(a).const for a in inst.args)
+                if all(a.is_const for a in inst.args):
+                    coords = tuple(a.const for a in inst.args)
                     return replace(value, coords=coords, family=inst.family)
         return value
 
@@ -450,8 +448,7 @@ class Interp:
             pre = p.change.pre
             inst = pre.inner if isinstance(pre, PermPair) else pre
             if isinstance(inst, InstanceType) and isinstance(v, ObjV) and v.coords:
-                for term, coord in zip(inst.args, v.coords):
-                    lin = Lin.of(term)
+                for lin, coord in zip(inst.args, v.coords):
                     if len(lin.coeffs) == 1 and lin.const == 0:
                         (var, coeff), = lin.coeffs.items()
                         if coeff == 1:

@@ -15,8 +15,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .diagnostics import BrtsError, Span
 from .presburger import (
-    Add, Const, Formula, Neg, Scale, Term, Var,
-    conj, disj, eq, exists, ge, gt, implies, le, lt, ne, neg, TRUE, FALSE,
+    Formula, Lin, conj, disj, eq, exists, ge, gt, implies, le, lt, ne, neg, TRUE, FALSE,
 )
 from . import syntax as ast
 
@@ -26,10 +25,15 @@ KEYWORDS = {
     "true", "false",
 }
 
-# Parser frames that nested expressions may hold: a prefix `-`, `k *` or `~`
-# and the right side of `=>` take one, a parenthesised term two, and a
-# parenthesised formula or an `exists` body four.  Deeper input is a located
-# parse error, with stack to spare for what later recurses over the tree.
+# Stack frames that one level of nesting may take in the deepest walk over it
+# (parser, checker, printer or interpreter): a prefix `-`, `k *` or `~` and
+# the right side of `=>` take one, a parenthesised term, a link of a
+# receiver chain and a state declared inside another two, a call or
+# constructor argument and a `let ... in` body three, and a parenthesised
+# formula, an `exists` body and a statement's block (a loop body, a match
+# arm, a case body) four.  Deeper input is a located parse error, and the
+# rest of the recursion limit is left to the frames outside the outermost
+# state.
 MAX_NESTING = 960
 
 
@@ -109,6 +113,7 @@ class Parser:
         self.pos = 0
         self.filename = filename
         self.depth = 0          # frames held by enclosing nested expressions
+        self.peak = 0           # the most frames held within the current chain
 
     # -- token plumbing ------------------------------------------------
 
@@ -150,13 +155,17 @@ class Parser:
     def nested(self, frames: int) -> Iterator[None]:
         """Parse a nested expression that holds `frames` more frames."""
         if self.depth + frames > MAX_NESTING:
-            raise NestingTooDeep("ParseError", "expression nested too deeply",
-                                 self.peek().span)
+            raise self.too_deep()
         self.depth += frames
+        self.peak = max(self.peak, self.depth)
         try:
             yield
         finally:
             self.depth -= frames
+
+    def too_deep(self) -> NestingTooDeep:
+        return NestingTooDeep("ParseError", "expression nested too deeply",
+                              self.peek().span)
 
     # -- program structure ---------------------------------------------
 
@@ -185,7 +194,8 @@ class Parser:
 
     def member(self) -> ast.Decl:
         if self.at("state"):
-            return self.state_decl()
+            with self.nested(2):
+                return self.state_decl()
         if self.at("type"):
             return self.typefam_decl()
         if self.at("var") or self.at("val"):
@@ -309,13 +319,13 @@ class Parser:
         self.expect(")")
         return ast.InstanceType(family, tuple(args), constraint, state)
 
-    def formula_literal(self) -> tuple[list[Term], Formula]:
+    def formula_literal(self) -> tuple[list[Lin], Formula]:
         """phi(t1, .., tk, c1, ..، cn): plain terms then constraint conjuncts."""
         if not self.at_ident("phi"):
             self.fail("expected 'phi'")
         self.advance()
         self.expect("(")
-        args: list[Term] = []
+        args: list[Lin] = []
         conjuncts: list[Formula] = []
         while not self.at(")"):
             kind, value = self.formula_element()
@@ -331,7 +341,7 @@ class Parser:
         constraint = conj(*conjuncts) if conjuncts else TRUE
         return args, constraint
 
-    def formula_element(self) -> tuple[str, Term | Formula]:
+    def formula_element(self) -> tuple[str, Lin | Formula]:
         if self.at("true") or self.at("false") or self.at("~") or self.at("exists"):
             return "formula", self.formula()
         save = self.pos
@@ -418,19 +428,19 @@ class Parser:
         t2 = self.term()
         return table[op.lexeme](t1, t2)
 
-    def term(self) -> Term:
+    def term(self) -> Lin:
         t = self.term_factor()
         while self.at("+") or self.at("-"):
             op = self.advance().lexeme
             rhs = self.term_factor()
-            t = Add(t, rhs) if op == "+" else Add(t, Neg(rhs))
+            t = t.add(rhs) if op == "+" else t.sub(rhs)
         return t
 
-    def term_factor(self) -> Term:
+    def term_factor(self) -> Lin:
         if self.at("-"):
             self.advance()
             with self.nested(1):
-                return Neg(self.term_factor())
+                return self.term_factor().scale(-1)
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -438,11 +448,11 @@ class Parser:
             if self.at("*"):
                 self.advance()
                 with self.nested(1):
-                    return Scale(value, self.term_factor())
-            return Const(value)
+                    return self.term_factor().scale(value)
+            return Lin.constant(value)
         if tok.kind == "ident":
             self.advance()
-            return Var(tok.lexeme)
+            return Lin.var(tok.lexeme)
         if self.at("("):
             self.advance()
             with self.nested(2):
@@ -484,7 +494,8 @@ class Parser:
         if self.at("case"):
             start = self.advance().span
             scrut = self.expr()
-            body = self.block()
+            with self.nested(4):
+                body = self.block()
             return ast.CaseExpr(scrut, body, start)
         e = self.expr()
         if self.at("<-"):
@@ -511,7 +522,8 @@ class Parser:
         return ast.Let(name, init, body, start)
 
     def _stmt_body(self) -> ast.Expr:
-        body = self.stmt()
+        with self.nested(3):
+            body = self.stmt()
         if isinstance(body, ast.VarDecl):
             raise BrtsError("ParseError",
                             "a var/val declaration needs trailing statements; "
@@ -539,7 +551,8 @@ class Parser:
         self.expect("(")
         cond = self.expr()
         self.expect(")")
-        body = self.block()
+        with self.nested(4):
+            body = self.block()
         return ast.While(tuple(names), invariant, cond, body, start)
 
     def match_stmt(self) -> ast.Expr:
@@ -558,11 +571,13 @@ class Parser:
             if self.at("case"):
                 aspan = self.advance().span
                 state = self.expect_ident().lexeme
-                body = self.block()
+                with self.nested(4):
+                    body = self.block()
                 arms.append(ast.MatchArm(state, body, aspan))
             elif self.at("default"):
                 self.advance()
-                default = self.block()
+                with self.nested(4):
+                    default = self.block()
             else:
                 self.fail("expected 'case' or 'default'")
             if self.at(";"):
@@ -571,21 +586,33 @@ class Parser:
         return ast.Match(scrut, scope, tuple(arms), default, start)
 
     def expr(self) -> ast.Expr:
+        # a chain `a.f(x).g(y)` nests its first receiver deepest, two frames
+        # a link, but its length is known only at its end; `reach` is how
+        # deep the chain so far goes, counted from its last link
+        outer, self.peak = self.peak, self.depth
         e = self.primary()
+        reach = self.peak
         while self.at("."):
+            reach += 2
+            if reach > MAX_NESTING:
+                raise self.too_deep()
             self.advance()
             name = self.expect_ident()
             if self.at("("):
                 self.advance()
                 args = []
+                self.peak = self.depth
                 while not self.at(")"):
-                    args.append(self.expr())
+                    with self.nested(3):
+                        args.append(self.expr())
                     if not self.at(")"):
                         self.expect(",")
                 self.expect(")")
+                reach = max(reach, self.peak)
                 e = ast.MethodCall(e, name.lexeme, tuple(args), name.span)
             else:
                 e = ast.FieldRef(e, name.lexeme, name.span)
+        self.peak = max(outer, reach)
         return e
 
     def primary(self) -> ast.Expr:
@@ -610,7 +637,8 @@ class Parser:
                 inst = ast.InstanceType(None, tuple(args), constraint, state)
             else:
                 while not self.at(")"):
-                    ctor_args.append(self.expr())
+                    with self.nested(3):
+                        ctor_args.append(self.expr())
                     if not self.at(")"):
                         self.expect(",")
             self.expect(")")
@@ -646,7 +674,7 @@ def parse_formula(source: str) -> Formula:
     return f
 
 
-def parse_term(source: str) -> Term:
+def parse_term(source: str) -> Lin:
     p = Parser(tokenize(source))
     t = p.term()
     if p.peek().kind != "eof":

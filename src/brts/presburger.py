@@ -1,6 +1,8 @@
 """Linear integer arithmetic formulas and a decision procedure for them.
 
-Terms are integer-linear combinations of named variables.  Formulas are
+A term is a `Lin`, an integer-linear combination of named variables plus
+a constant; the parser builds one directly, and `Var`, `Const` and the
+operators ``+``, ``-`` and ``int *`` build one in code.  Formulas are
 built from comparison atoms with conjunction, disjunction, negation and
 existential quantification, and are decided by Cooper-style quantifier
 elimination.  All coefficients are Python ints, so nothing overflows.
@@ -32,57 +34,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 # Terms
 # ---------------------------------------------------------------------------
 
-class Term:
-    """Surface syntax of arithmetic terms."""
-
-    __slots__ = ()
-
-    def __add__(self, other: "Term | int") -> "Term":
-        return Add(self, _as_term(other))
-
-    def __sub__(self, other: "Term | int") -> "Term":
-        return Add(self, Neg(_as_term(other)))
-
-    def __neg__(self) -> "Term":
-        return Neg(self)
-
-    def __rmul__(self, coeff: int) -> "Term":
-        return Scale(coeff, self)
-
-
-@dataclass(frozen=True)
-class Const(Term):
-    value: int
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class Scale(Term):
-    coeff: int
-    term: Term
-
-
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Neg(Term):
-    term: Term
-
-
-def _as_term(x: "Term | int") -> Term:
-    return Const(x) if isinstance(x, int) else x
-
-
 class Lin:
-    """A term flattened to ``sum(c_i * v_i) + k`` with distinct variables.
+    """A linear term ``sum(c_i * v_i) + k`` with distinct variables.
 
     Immutable, and ``coeffs`` is never mutated, so results may share it.
     Zero coefficients are never stored, so structural equality is semantic
@@ -105,30 +58,6 @@ class Lin:
         lin.const = const
         lin._hash = None
         return lin
-
-    @staticmethod
-    def of(term: Term) -> "Lin":
-        match term:
-            case Const(k):
-                return Lin.constant(k)
-            case Var(v):
-                return Lin.var(v)
-            case Scale(c, t):
-                return Lin.of(t).scale(c)
-            case Add():
-                # a loop down the left spine, so a long sum takes no stack,
-                # adding in recursion's order, which `_unit_pivot` sees
-                rights = []
-                while isinstance(term, Add):
-                    rights.append(term.right)
-                    term = term.left
-                lin = Lin.of(term)
-                for right in reversed(rights):
-                    lin = lin.add(Lin.of(right))
-                return lin
-            case Neg(t):
-                return Lin.of(t).scale(-1)
-        raise TypeError(f"not a term: {term!r}")
 
     @staticmethod
     def var(name: str) -> "Lin":
@@ -180,6 +109,18 @@ class Lin:
             out = out.add(lins[v].scale(c) if v in lins else Lin._make({v: c}, 0))
         return out
 
+    def __add__(self, other: "Lin | int") -> "Lin":
+        return self.add_const(other) if isinstance(other, int) else self.add(other)
+
+    def __sub__(self, other: "Lin | int") -> "Lin":
+        return self.add_const(-other) if isinstance(other, int) else self.sub(other)
+
+    def __neg__(self) -> "Lin":
+        return self.scale(-1)
+
+    def __rmul__(self, coeff: int) -> "Lin":
+        return self.scale(coeff)
+
     def evaluate(self, env: Mapping[str, int]) -> int:
         return sum(c * env[v] for v, c in self.coeffs.items()) + self.const
 
@@ -189,17 +130,6 @@ class Lin:
     @property
     def is_const(self) -> bool:
         return not self.coeffs
-
-    def to_term(self) -> Term:
-        term: Optional[Term] = None
-        for v, c in sorted(self.coeffs.items()):
-            piece: Term = Var(v) if c == 1 else Scale(c, Var(v))
-            term = piece if term is None else Add(term, piece)
-        if term is None:
-            return Const(self.const)
-        if self.const:
-            term = Add(term, Const(self.const))
-        return term
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Lin) and self.const == other.const
@@ -212,6 +142,10 @@ class Lin:
 
     def __repr__(self) -> str:
         return f"Lin({tuple(sorted(self.coeffs.items()))!r}, {self.const})"
+
+
+Var = Lin.var
+Const = Lin.constant
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +247,27 @@ class Exists(Formula):
 
 # -- constructors over surface comparisons ----------------------------------
 
-def le(t1: Term | Lin, t2: Term | Lin) -> Formula:
-    return _fold_atom(Le(_lin(t1).sub(_lin(t2))))
+def le(t1: Lin, t2: Lin) -> Formula:
+    return _fold_atom(Le(t1.sub(t2)))
 
 
-def ge(t1: Term | Lin, t2: Term | Lin) -> Formula:
+def ge(t1: Lin, t2: Lin) -> Formula:
     return le(t2, t1)
 
 
-def lt(t1: Term | Lin, t2: Term | Lin) -> Formula:
-    return _fold_atom(Le(_lin(t1).sub(_lin(t2)).add_const(1)))
+def lt(t1: Lin, t2: Lin) -> Formula:
+    return _fold_atom(Le(t1.sub(t2).add_const(1)))
 
 
-def gt(t1: Term | Lin, t2: Term | Lin) -> Formula:
+def gt(t1: Lin, t2: Lin) -> Formula:
     return lt(t2, t1)
 
 
-def eq(t1: Term | Lin, t2: Term | Lin) -> Formula:
-    return _fold_atom(EqZ(_lin(t1).sub(_lin(t2))))
+def eq(t1: Lin, t2: Lin) -> Formula:
+    return _fold_atom(EqZ(t1.sub(t2)))
 
 
-def ne(t1: Term | Lin, t2: Term | Lin) -> Formula:
+def ne(t1: Lin, t2: Lin) -> Formula:
     return neg(eq(t1, t2))
 
 
@@ -393,10 +327,6 @@ def exists_many(variables: Iterable[str], body: Formula) -> Formula:
     for v in reversed(list(variables)):
         body = Exists(v, body)
     return body
-
-
-def _lin(t: Term | Lin) -> Lin:
-    return t if isinstance(t, Lin) else Lin.of(t)
 
 
 def _fold_atom(f: Formula) -> Formula:
@@ -507,13 +437,12 @@ def map_atoms(f: Formula, fn) -> Formula:
             return fn(f)
 
 
-def substitute(f: Formula, mapping: Mapping[str, Term | Lin]) -> Formula:
+def substitute(f: Formula, mapping: Mapping[str, Lin]) -> Formula:
     """Capture-avoiding simultaneous substitution of terms for free variables."""
-    lins = {v: _lin(t) for v, t in mapping.items()}
     range_vars: set[str] = set()
-    for l in lins.values():
+    for l in mapping.values():
         range_vars |= l.variables()
-    return _subst(f, lins, range_vars)
+    return _subst(f, mapping, range_vars)
 
 
 def _subst(f: Formula, lins: Mapping[str, Lin], range_vars: set[str]) -> Formula:
@@ -669,7 +598,7 @@ def _rewrite_eq_on(f: Formula, var: str) -> Formula:
 
 
 def _unitize(f: Formula, var: str) -> tuple[Formula, int]:
-    """Scale every atom so var appears with coefficient +1 or -1.
+    """Multiply every atom so var appears with coefficient +1 or -1.
 
     Returns the rewritten formula (over a variable standing for delta*var)
     plus the delta used; a ``delta | var`` atom is conjoined when delta > 1.
@@ -1162,8 +1091,7 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_term(t: Term | Lin) -> str:
-    lin = _lin(t)
+def render_term(lin: Lin) -> str:
     pieces: list[str] = []
     for v, c in sorted(lin.coeffs.items()):
         if c == 1:

@@ -2,7 +2,8 @@
 and the state table the checker and interpreter consult.
 
 Statements and expressions share one tree; statement forms evaluate to the
-unit value.  All nodes are frozen and carry a source span.
+unit value.  All nodes are frozen and carry a source span.  Arithmetic
+terms are not tree nodes: the parser flattens each one to a `Lin`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Span
-from .presburger import Formula, Term
+from .presburger import Formula, Lin
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +50,12 @@ class PermPair(Type):
 class InstanceType(Type):
     """A member of a declared family at concrete coordinates and state.
 
-    args are arithmetic terms over the logical variables in scope; the
+    args are linear terms (`Lin`) over the logical variables in scope; the
     constraint conjoins extra facts those variables must satisfy.  family is
     None for the constant instance a bare state denotes.
     """
     family: Optional[str]
-    args: tuple[Term, ...]
+    args: tuple[Lin, ...]
     constraint: Formula
     state: str
 

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Diagnostic, Span
 from .presburger import (
-    Const, Formula, Lin, Term, Var,
+    Const, Formula, Lin, Var,
     conj, disj, entails, eq, exists_many, formula_equal, free_vars, implies,
     is_satisfiable, neg, ne, project_onto, render, simplify, substitute, tidy,
     witness, FALSE, TRUE,
@@ -465,14 +465,14 @@ class Checker:
         ren = {} if ren is None else ren
         mentioned = set()
         for a in inst.args:
-            mentioned |= Lin.of(a).variables()
+            mentioned |= a.variables()
         mentioned |= free_vars(inst.constraint)
         for v in sorted(mentioned):
             if v not in ren:
                 ren[v] = ctx.fresh(v)
             ctx.logical_vars.add(ren[v])
         mapping = {v: Lin.var(n) for v, n in ren.items()}
-        args = tuple(Lin.of(a).substitute(mapping).to_term() for a in inst.args)
+        args = tuple(a.substitute(mapping) for a in inst.args)
         constraint = substitute(inst.constraint, mapping)
         opened = InstanceType(inst.family, args, constraint, inst.state)
         if assume:
@@ -634,11 +634,11 @@ class Checker:
             mapping = {u: Lin.var(f) for u, f in ctx.annot_names.items()}
             inst = replace(
                 inst,
-                args=tuple(Lin.of(a).substitute(mapping).to_term() for a in inst.args),
+                args=tuple(a.substitute(mapping) for a in inst.args),
                 constraint=substitute(inst.constraint, mapping))
         scope = free_vars(inst.constraint)
         for a in inst.args:
-            scope |= Lin.of(a).variables()
+            scope |= a.variables()
         out_of_scope = sorted(scope - ctx.logical_vars)
         if out_of_scope:
             self.error("UnboundVariable",
@@ -962,8 +962,7 @@ class Checker:
     def _invariant_goal(self, ctx: Ctx, name: str, inv: Formula,
                         coords: tuple[str, ...]) -> Formula:
         inst = _instance_part(ctx.lookup(name).type)
-        mapping = {c: Lin.of(a) for c, a in zip(coords, inst.args)}
-        return substitute(inv, {k: v.to_term() for k, v in mapping.items()})
+        return substitute(inv, dict(zip(coords, inst.args)))
 
     def _widen(self, ctx: Ctx, tracked, inv: Formula) -> None:
         """Replace each tracked object's coordinates by fresh unknowns
@@ -1127,10 +1126,9 @@ class Checker:
         env = dict(model)
         pieces = []
         for name, arg in zip(coords, inst.args):
-            lin = Lin.of(arg)
-            for v in lin.variables():
+            for v in arg.variables():
                 env.setdefault(v, 0)
-            pieces.append(f"{name} = {lin.evaluate(env)}")
+            pieces.append(f"{name} = {arg.evaluate(env)}")
         return ", ".join(pieces)
 
     def _strict_body_check(self, ctx: Ctx, call: ast.MethodCall, recv_state: str) -> None:
@@ -1162,7 +1160,7 @@ def check_family_formation(st: StateTable, fam: ast.TypeFamDecl) -> None:
                         f"'{fam.state_bound}'", fam.span)
 
 
-def instantiate_family(ctx: Ctx, fam: ast.TypeFamDecl, args: tuple[Term, ...],
+def instantiate_family(ctx: Ctx, fam: ast.TypeFamDecl, args: tuple[Lin, ...],
                        constraint: Formula, state: str,
                        span: Span = NO_SPAN) -> InstanceType:
     if not ctx.st.is_substate(state, fam.state_bound):
@@ -1174,9 +1172,9 @@ def instantiate_family(ctx: Ctx, fam: ast.TypeFamDecl, args: tuple[Term, ...],
                         f"family '{fam.name}' has {len(fam.coord_vars)} coordinates, "
                         f"got {len(args)} arguments", span)
     if not args:
-        args = tuple(Var(ctx.fresh(c)) for c in fam.coord_vars)
-        for a in args:
-            ctx.logical_vars.add(a.name)
+        names = [ctx.fresh(c) for c in fam.coord_vars]
+        ctx.logical_vars.update(names)
+        args = tuple(Var(n) for n in names)
     return InstanceType(fam.name, args, constraint, state)
 
 

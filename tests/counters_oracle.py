@@ -19,7 +19,7 @@ from brts.counters import (
     primed,
 )
 from brts.presburger import (
-    And, Const, EqZ, Formula, Lin, TRUE, conj, eq, evaluate, free_vars, simplify,
+    And, Const, EqZ, Formula, TRUE, conj, eq, evaluate, free_vars, simplify,
     substitute,
 )
 
@@ -131,7 +131,7 @@ def _primed_solutions(grounded: Formula, counters: tuple[str, ...],
 def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -> Lts:
     """`brts_to_lts` matching every contract at every state through
     `reference_match_args`.  The initial instance is taken as valid."""
-    init = LtsState(initial.state, tuple(Lin.of(a).const for a in initial.args))
+    init = LtsState(initial.state, tuple(a.const for a in initial.args))
     lts = Lts(tuple(f"c{i}" for i in range(len(init.valuation))), init)
     seen = {(init.control, init.valuation): init}
     queue = deque([init])
@@ -145,7 +145,7 @@ def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -
             if not applies:
                 continue
             for sigma in reference_match_args(ann, cur.valuation, bound):
-                post_val = tuple(Lin.of(a).evaluate(sigma) for a in ann.post_args)
+                post_val = tuple(a.evaluate(sigma) for a in ann.post_args)
                 if any(abs(v) > bound for v in post_val):
                     continue
                 nxt = seen.get((ann.post_state, post_val))
@@ -172,8 +172,7 @@ def reference_match_args(ann: Annotation, valuation: tuple[int, ...], bound: int
         return
     sigma: dict[str, int] = {}
     # plain-variable arguments pin their value directly
-    for term, value in zip(ann.pre_args, valuation):
-        lin = Lin.of(term)
+    for lin, value in zip(ann.pre_args, valuation):
         if len(lin.coeffs) == 1 and lin.const == 0:
             (v, c), = lin.coeffs.items()
             if c == 1:

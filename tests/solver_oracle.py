@@ -8,9 +8,10 @@ Everything else (Cooper branches, disjunction splitting, the contradiction
 check) is the module's own code.  Slow on long equality chains and
 obviously faithful, which is what an oracle is for.
 
-`reference_lin_of` flattens a term by plain recursion, one frame per
-node; `Lin.of` walks a sum's left spine in a loop and must make the same
-additions in the same order.
+`Term` is the tree the parser once built for an arithmetic term, one node
+per operator, and `reference_lin_of` flattens it by plain recursion.  The
+parser now builds the `Lin` directly, so parsing `print_term(t)` must make
+the additions of the recursion over `t`, in the same order.
 
 `reference_lin_key` is the sorted key that `Lin` equality and hashing
 once went through, and `reference_cooper_eliminate` is the elimination
@@ -20,28 +21,80 @@ branched over Cooper's period, unit-coefficient equalities aside.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from brts.presburger import (
-    Add, Const, EqZ, FALSE, TRUE, And, Formula, Lin, Neg, Not, Or, Scale, Term,
-    Var, _conjuncts, _cooper_branches, _obviously_contradictory, _pick_var,
-    _subst_var, conj, disj, eliminate_quantifiers, evaluate, free_vars, nnf,
-    simplify,
+    EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
+    _obviously_contradictory, _pick_var, _subst_var, conj, disj,
+    eliminate_quantifiers, evaluate, free_vars, nnf, simplify,
 )
+
+
+class Term:
+    """An arithmetic term as a tree."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class TConst(Term):
+    value: int
+
+
+@dataclass(frozen=True)
+class TVar(Term):
+    name: str
+
+
+@dataclass(frozen=True)
+class TScale(Term):
+    coeff: int
+    term: Term
+
+
+@dataclass(frozen=True)
+class TAdd(Term):
+    left: Term
+    right: Term
+
+
+@dataclass(frozen=True)
+class TNeg(Term):
+    term: Term
 
 
 def reference_lin_of(term: Term) -> Lin:
     match term:
-        case Const(k):
+        case TConst(k):
             return Lin.constant(k)
-        case Var(v):
+        case TVar(v):
             return Lin.var(v)
-        case Scale(c, t):
+        case TScale(c, t):
             return reference_lin_of(t).scale(c)
-        case Add(a, b):
+        case TAdd(a, b):
             return reference_lin_of(a).add(reference_lin_of(b))
-        case Neg(t):
+        case TNeg(t):
             return reference_lin_of(t).scale(-1)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def print_term(term: Term) -> str:
+    """Source text with every compound node in parentheses.  The grammar
+    has no negative literals and scales only by a natural number, so a
+    negative constant or factor prints as a negation."""
+    match term:
+        case TConst(k):
+            return str(k) if k >= 0 else f"(- {-k})"
+        case TVar(v):
+            return v
+        case TScale(c, t):
+            scaled = f"({abs(c)} * {print_term(t)})"
+            return scaled if c >= 0 else f"(- {scaled})"
+        case TAdd(a, b):
+            return f"({print_term(a)} + {print_term(b)})"
+        case TNeg(t):
+            return f"(- {print_term(t)})"
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,14 @@ def test_reach_witness_and_none():
                 "--bound", "6")
     assert out2.returncode == 0
     assert "no violation" in out2.stdout
+
+
+def test_reach_bound_default_ignores_the_environment(monkeypatch):
+    # the mutant's shortest violation ends at (2, 3), past a bound of 2
+    monkeypatch.setenv("BRTS_BOUND", "2")
+    out = brts("reach", "corpus/prodcons/mutant.mca", "--bad", "c > p", "--json")
+    assert out.returncode == 4, out.stdout
+    assert json.loads(out.stdout)["witness"]["steps"][-1]["valuation"] == [2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +545,94 @@ def test_long_sum_checks_formats_and_runs(tmp_path):
     out = brts("run", "--unchecked", str(program))
     assert out.returncode == 0, out.stderr[-300:]
     assert out.stdout == "Box@phi(1)\n"
+
+
+def _nested_program(loops: int = 0, calls: int = 0, coord: int = 0) -> str:
+    """`_counter_program` with `loops` nested loops after its call, around a
+    declaration at a `coord`-deep coordinate and `calls` nested calls."""
+    inner = (f"var (1, B(phi({'- ' * coord}0), Box)) v = new Box(); "
+             + "a.id(" * calls + "1" + ")" * calls)
+    nest = "while [exists. true] (false) { " * loops + inner + " }" * loops
+    return (_counter_program().replace(
+        "        w;\n", f"        var (1, _) a = new A();\n        {nest};\n        w;\n")
+        + "state A {\n    int id(int >> int x)[] { x; }\n}\n")
+
+
+# a statement's block takes four frames, a call argument three and a
+# prefix `-` one; each row is at the bound, and one more level passes it
+NESTINGS = {
+    "loops": ((240, 0, 0), (241, 0, 0)),
+    "calls": ((0, 320, 0), (0, 321, 0)),
+    "mix": ((100, 100, 560), (100, 100, 561)),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("nesting", NESTINGS, ids=str)
+def test_statement_and_call_nesting_is_bounded(tmp_path, command, nesting):
+    from brts.parser import MAX_NESTING
+
+    at_bound, past = NESTINGS[nesting]
+    assert 4 * at_bound[0] + max(3 * at_bound[1], at_bound[2]) == MAX_NESTING
+    program = tmp_path / "deep.brts"
+    program.write_text(_nested_program(*at_bound))
+    out = brts(command[0], str(program), *command[1:])
+    assert out.returncode == 0, out.stderr[-300:]
+    program.write_text(_nested_program(*past))
+    out = brts(command[0], str(program), *command[1:])
+    assert out.returncode == 2, out.stderr[-300:]
+    first = out.stderr.splitlines()[0]
+    assert first.startswith(f"{program}:14:")
+    assert first.endswith("error: expression nested too deeply [BRTS002]")
+
+
+@pytest.mark.parametrize("shape, at_bound", [
+    (lambda n: "a" + ".k" * n, 480),
+    (lambda n: "a" + ".f(1)" * n, 479),     # 2 * 478 + 3 for the first argument
+    (lambda n: "let x = 1 in " * n + "x", 320),
+    (lambda n: "new A(" * n + "1" + ")" * n, 320),
+    (lambda n: "case a { " * n + "1" + " }" * n, 240),
+    (lambda n: "match (a) { case A { " * n + "1" + " } }" * n, 240),
+], ids=["fields", "methods", "lets", "constructors", "cases", "matches"])
+def test_every_nested_statement_and_expression_form_is_bounded(tmp_path, shape, at_bound):
+    # a chain link takes two frames, a `let` body or an argument three and
+    # a block four; `fmt` does not check, so the programs need not be typed
+    program = tmp_path / "deep.brts"
+    for levels, code in ((at_bound, 0), (at_bound + 1, 2)):
+        program.write_text("state A { }\nstate Main {\n    void main()[] {\n"
+                           f"        var (1, _) a = new A();\n        {shape(levels)};\n"
+                           "    }\n}\n")
+        out = brts("fmt", str(program))
+        assert out.returncode == code, (levels, out.stderr[-300:])
+
+
+def test_nested_states_are_bounded(tmp_path):
+    # a state declared inside another takes two frames; the outermost none
+    program = tmp_path / "deep.brts"
+    for levels, code in ((481, 0), (482, 2)):
+        program.write_text("state Main { void main()[] { 1; } }\n"
+                           + "".join(f"state S{i} {{ " for i in range(levels))
+                           + "}" * levels + "\n")
+        out = brts("fmt", str(program))
+        assert out.returncode == code, (levels, out.stderr[-300:])
+
+
+def test_fuel_bounds_the_time_of_a_deep_coordinate(tmp_path):
+    from brts.parser import MAX_NESTING
+
+    # the deepest coordinate a loop body holds, declared at every step
+    coord = "- " * (MAX_NESTING - 4) + "0"
+    program = tmp_path / "spin.brts"
+    program.write_text("state Box { }\nstate Ops {\n    type B : Pi(phi(n), Box);\n}\n"
+                       "state Main {\n    void main()[] {\n"
+                       "        while [exists. true] (true) {\n"
+                       f"            var (1, B(phi({coord}), Box)) w = new Box();\n"
+                       "        };\n        1;\n    }\n}\n")
+    start = time.monotonic()
+    out = brts("run", "--unchecked", "--fuel", "20000", str(program))
+    assert time.monotonic() - start < 5.0
+    assert out.returncode == 4, out.stderr[-300:]
+    assert out.stderr.rstrip().endswith("[FuelExhausted]")
 
 
 @pytest.mark.parametrize("constraint", ["(0 >= 0)", "(n >= 0) && n >= 0", "n >= 0 && (n >= 0)"])

@@ -18,7 +18,7 @@ from brts.counters import (
     load_machine, mca_to_lts, primed,
 )
 from brts.parser import parse_formula, parse_program
-from brts.presburger import TRUE, Const, Lin, Var, conj, disj, eq, evaluate, le
+from brts.presburger import TRUE, Const, Var, conj, disj, eq, evaluate, le
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
@@ -171,7 +171,7 @@ def random_contract(rng: random.Random, label: str) -> Annotation:
     pre = tuple(random_pre_arg(rng) for _ in range(rng.randint(1, 2)))
     # post arguments mostly reuse a pre argument's variable; the others are
     # unpinned, or free when no constraint mentions them either
-    near = sorted({v for a in pre for v in Lin.of(a).coeffs}) or list(LOGICAL)
+    near = sorted({v for a in pre for v in a.coeffs}) or list(LOGICAL)
     post = tuple(Var(rng.choice(near if rng.random() < 0.8 else LOGICAL))
                  + rng.randint(-1, 1) if rng.random() < 0.8
                  else Const(rng.randint(-1, 1)) for _ in range(rng.randint(1, 2)))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from brts.diagnostics import BrtsError
@@ -194,7 +196,7 @@ def test_parse_formula_implication_sugar():
 def test_parse_term_scalar_multiple():
     t = parse_term("2 * x + y - 3")
     from brts.presburger import Lin
-    assert Lin.of(t) == Lin({"x": 2, "y": 1}, -3)
+    assert t == Lin({"x": 2, "y": 1}, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,24 @@ def test_round_trip_prodcons():
     assert strip_spans(again) == strip_spans(prog)
     # printing is stable
     assert print_program(again) == text
+
+
+def _fmt_round_trip(source: str) -> None:
+    program = parse_program(source)
+    assert strip_spans(parse_program(print_program(program))) == strip_spans(program)
+
+
+def test_round_trip_canonicalises_coordinates():
+    # fmt prints `phi(1 + n)` as `n + 1` and `phi(2 * (3 + 1))` as `8`
+    _fmt_round_trip("state Box { }\nstate Ops {\n    type B : Pi(phi(n), Box);\n"
+                    "    void f((1, B(phi(1 + n), Box)) >> (1, B(phi(2 * (3 + 1)), Box)) w)[];\n"
+                    "}\nstate Main { void main()[] { 1; } }\n")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "corpus").glob("*/*.brts")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_round_trip_corpus(path):
+    _fmt_round_trip(path.read_text())
 
 
 def test_round_trip_bodyless_method_and_fields():

@@ -21,9 +21,9 @@ import numpy as np
 import brts.presburger as presburger
 import brts.typecheck as typecheck
 from brts.gen import synthesize_program
-from brts.parser import parse_program
+from brts.parser import parse_program, parse_term
 from brts.presburger import (
-    Add, Const, EqZ, Exists, Lin, Neg, Scale, Var, _solve_unit_equalities, conj,
+    Const, EqZ, Exists, Lin, Var, _solve_unit_equalities, conj,
     cooper_eliminate, disj, eliminate_quantifiers, eq, evaluate, exists_many,
     free_vars, implies, is_satisfiable, is_valid, le, lt, ne, nnf, project_onto,
     simplify, substitute, witness,
@@ -32,8 +32,9 @@ from brts.typecheck import check_program
 
 from oracle import _with_vars, bounded_equiv
 from solver_oracle import (
-    reference_cooper_eliminate, reference_is_satisfiable, reference_lin_key,
-    reference_lin_of, reference_unit_rounds, reference_witness,
+    TAdd, TConst, TNeg, TScale, TVar, print_term, reference_cooper_eliminate,
+    reference_is_satisfiable, reference_lin_key, reference_lin_of,
+    reference_unit_rounds, reference_witness,
 )
 from test_presburger import _random_formula
 
@@ -347,43 +348,39 @@ def test_project_onto_stream_matches_closure():
 
 
 # ---------------------------------------------------------------------------
-# Lin.of: an iterative left spine, the additions of the recursion
+# parse_term: the additions of the recursion over the old term tree
 # ---------------------------------------------------------------------------
 
 def _cancelling_term(rng: random.Random, depth: int):
     """A random term whose parenthesised parts often cancel what the sum
     around them holds, so coefficients vanish and come back in new places."""
     if depth == 0 or rng.random() < 0.2:
-        return rng.choice([Var(rng.choice("nmk")), Const(rng.randint(-2, 2))])
+        return rng.choice([TVar(rng.choice("nmk")), TConst(rng.randint(-2, 2))])
     shape = rng.random()
     if shape < 0.5:
         t = _cancelling_term(rng, depth - 1)
         for _ in range(rng.randint(1, 4)):
-            t = Add(t, _cancelling_term(rng, depth - 1))
+            t = TAdd(t, _cancelling_term(rng, depth - 1))
         return t
     if shape < 0.7:
         inner = _cancelling_term(rng, depth - 1)
-        return Add(inner, Neg(inner)) if rng.random() < 0.5 else Add(Neg(inner), inner)
+        return TAdd(inner, TNeg(inner)) if rng.random() < 0.5 else TAdd(TNeg(inner), inner)
     if shape < 0.85:
-        return Neg(_cancelling_term(rng, depth - 1))
-    return Scale(rng.randint(-3, 3), _cancelling_term(rng, depth - 1))
+        return TNeg(_cancelling_term(rng, depth - 1))
+    return TScale(rng.randint(-3, 3), _cancelling_term(rng, depth - 1))
 
 
-def test_lin_of_matches_recursive_reference():
-    n, m = Var("n"), Var("m")
+def test_parse_term_matches_recursive_reference():
     # n + m + (-n + n): summed flat, n would drop out and come back after m
-    tricky = Add(Add(n, m), Add(Neg(n), n))
-    assert list(Lin.of(tricky).coeffs) == list(reference_lin_of(tricky).coeffs) == ["n", "m"]
+    assert list(parse_term("n + m + (- n + n)").coeffs) == ["n", "m"]
     rng = random.Random(4242)
     for _ in range(3000):
         t = _cancelling_term(rng, 4)
-        got, want = Lin.of(t), reference_lin_of(t)
+        got, want = parse_term(print_term(t)), reference_lin_of(t)
         assert got == want, t
         assert list(got.coeffs.items()) == list(want.coeffs.items()), t
 
 
-def test_lin_of_takes_a_long_sum_without_recursing():
-    t = Var("n")
-    for i in range(20000):
-        t = Add(t, Neg(Var("n")) if i % 2 else Var("m"))
-    assert Lin.of(t) == Lin({"n": -9999, "m": 10000})
+def test_parse_term_takes_a_long_sum():
+    text = "n" + "".join(" - n" if i % 2 else " + m" for i in range(2999))
+    assert parse_term(text) == Lin({"n": -1498, "m": 1500})
