@@ -291,7 +291,7 @@ def cmd_reach(args) -> int:
                            witness_to_json)
     try:
         machine = load_machine(args.machine)
-        bad = parse_formula(args.bad)
+        bad = eliminate_quantifiers(parse_formula(args.bad))
         path = reach_violation(machine, bad, args.bound)
     except (MachineError, BrtsError, OSError) as err:
         return machine_error(args.machine, err)

@@ -31,7 +31,6 @@ import itertools
 import json
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .diagnostics import BrtsError
@@ -41,6 +40,7 @@ from .presburger import (
     conj, disj, eliminate_quantifiers, eq, evaluate, free_vars, ge, substitute,
     TRUE,
 )
+from .record import record
 from .syntax import ChangeType, InstanceType, PermPair, StateTable
 
 
@@ -58,7 +58,7 @@ def primed(name: str) -> str:
 # Machines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transition:
     src: str
     label: str
@@ -66,7 +66,7 @@ class Transition:
     dst: str
 
 
-@dataclass
+@record
 class CounterMachine:
     name: str
     states: tuple[str, ...]
@@ -162,7 +162,7 @@ def _guard_solutions(guard: Formula, mentioned: frozenset[str],
 # Labeled transition systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LtsState:
     control: str
     valuation: tuple[int, ...]
@@ -170,15 +170,31 @@ class LtsState:
     def label(self) -> tuple:
         return (self.control, self.valuation)
 
+    def __hash__(self) -> int:
+        # the record's hash, written out: every LTS build hashes each state
+        return hash((self.control, self.valuation))
 
-@dataclass
+
+@record
 class Lts:
     counters: tuple[str, ...]
     initial: LtsState
-    states: list[LtsState] = field(default_factory=list)
-    transitions: dict[LtsState, tuple[tuple[str, LtsState], ...]] = field(default_factory=dict)
-    finals: set[LtsState] = field(default_factory=set)
-    actions: set[str] = field(default_factory=set)
+    states: list[LtsState]
+    transitions: dict[LtsState, tuple[tuple[str, LtsState], ...]]
+    finals: set[LtsState]
+    actions: set[str]
+
+    def __init__(self, counters: tuple[str, ...], initial: LtsState,
+                 states: Optional[list[LtsState]] = None,
+                 transitions: Optional[dict[LtsState, tuple[tuple[str, LtsState], ...]]] = None,
+                 finals: Optional[set[LtsState]] = None,
+                 actions: Optional[set[str]] = None):
+        self.counters = counters
+        self.initial = initial
+        self.states = [] if states is None else states
+        self.transitions = {} if transitions is None else transitions
+        self.finals = set() if finals is None else finals
+        self.actions = set() if actions is None else actions
 
     def moves(self, s: LtsState) -> tuple[tuple[str, LtsState], ...]:
         return self.transitions.get(s, ())
@@ -215,10 +231,12 @@ def mca_to_lts(machine: CounterMachine, bound: int) -> Lts:
     return lts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Annotation:
-    """One transition contract: a labelled pre/post typestate pair."""
+    """One transition contract: a labelled pre/post typestate pair over the
+    coordinates of one type family."""
     label: str
+    family: str
     pre_state: str
     pre_args: tuple[Lin, ...]
     pre_constraint: Formula
@@ -234,7 +252,7 @@ def annotation_from_change(label: str, change: ChangeType) -> Optional[Annotatio
         return None
     if not pre.args or not post.args:
         return None
-    return Annotation(label, pre.state, pre.args, pre.constraint,
+    return Annotation(label, pre.family, pre.state, pre.args, pre.constraint,
                       post.state, post.args, post.constraint)
 
 
@@ -256,7 +274,10 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
                 bound: int, table: Optional[StateTable] = None,
                 final: Optional[Callable[[str, tuple[int, ...]], bool]] = None) -> Lts:
     """Ground transition system of a set of typestate contracts: states pair
-    a state name with a counter valuation reachable by applying contracts."""
+    a state name with a counter valuation reachable by applying contracts.
+    A contract applies where its pre instance is of the initial instance's
+    family, with as many arguments as the valuation has counters, at a
+    state below its pre state."""
     annotations = list(annotations)
     if not all(a.is_const for a in initial.args):
         raise MachineError("UnsatisfiableInitial",
@@ -277,9 +298,9 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
             return table.is_substate(sub, sup)
         return sub == sup
 
-    # contracts compiled once per valuation length, and the ones whose pre
-    # state a control state satisfies
-    compiled: dict[int, list[_Contract]] = {}
+    # contracts compiled once, and the ones that apply at a control state
+    # and valuation length
+    compiled = [_Contract(ann) for ann in annotations if ann.family == initial.family]
     applicable: dict[tuple[str, int], list[_Contract]] = {}
     while queue:
         cur = queue.popleft()
@@ -287,11 +308,9 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
         key = (cur.control, len(cur.valuation))
         contracts = applicable.get(key)
         if contracts is None:
-            arity = len(cur.valuation)
-            if arity not in compiled:
-                compiled[arity] = [_Contract(ann, arity) for ann in annotations]
             contracts = applicable[key] = [
-                c for c in compiled[arity] if substate(cur.control, c.ann.pre_state)]
+                c for c in compiled if len(c.ann.pre_args) == len(cur.valuation)
+                and substate(cur.control, c.ann.pre_state)]
         moves = []
         for c in contracts:
             ann = c.ann
@@ -312,17 +331,17 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
 
 
 class _Contract:
-    """A contract prepared for matching valuations of one length.
+    """A contract prepared for matching valuations.
 
-    Pre arguments past the valuation's length are ignored.  A pre argument
-    that is a plain variable pins that variable to its coordinate (the last
-    such position wins); every other pre argument is an equality to check.
-    The remaining logical variables, those of the constraints and the
-    arguments that no position pins, range over the bound."""
+    A pre argument that is a plain variable pins that variable to its
+    coordinate (the last such position wins); every other pre argument is
+    an equality to check.  The remaining logical variables, those of the
+    constraints and the arguments that no position pins, range over the
+    bound."""
 
-    def __init__(self, ann: Annotation, arity: int):
+    def __init__(self, ann: Annotation):
         self.ann = ann
-        pre = ann.pre_args[:arity]
+        pre = ann.pre_args
         self.post = ann.post_args
         self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
         pins: dict[str, int] = {}
@@ -362,7 +381,7 @@ class _Contract:
 # Simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SimulationRelation:
     pairs: set[tuple[LtsState, LtsState]]
 
@@ -370,7 +389,7 @@ class SimulationRelation:
         return len(self.pairs)
 
 
-@dataclass
+@record
 class Counterexample:
     """A path of the simulated system the candidate simulator cannot mirror."""
     steps: list[tuple[str, LtsState]]
@@ -506,7 +525,7 @@ def verify_simulation(rel: SimulationRelation, sim: Lts, simulated: Lts) -> bool
 # Reachability
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class WitnessPath:
     steps: list[tuple[str, str, tuple[int, ...]]]   # (action, state, valuation)
     initial: tuple[str, tuple[int, ...]]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Span:
     line: int
     col: int
@@ -56,7 +57,7 @@ CODES = {
 }
 
 
-@dataclass
+@record
 class Diagnostic:
     severity: str              # "error" | "warning" | "note"
     kind: str                  # key into CODES

@@ -12,14 +12,14 @@ tag should refine the statically known one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .presburger import Const, Formula, Var, conj, ge, TRUE
 from . import syntax as ast
+from .record import record
 from .syntax import ChangeType, InstanceType, PermPair, VOID
 
 
-@dataclass
+@record
 class GenMethod:
     name: str
     pre_state: str
@@ -28,7 +28,7 @@ class GenMethod:
     delta: tuple[int, ...]       # coordinate advance
 
 
-@dataclass
+@record
 class GenSpec:
     root: str
     children: list[str]

@@ -15,12 +15,12 @@ for the fixpoint the checked invariant witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Span
 from .presburger import Lin
 from . import syntax as ast
+from .record import record, replace
 from .syntax import (
     ChangeType, InstanceType, PermPair, PrimType, StateRef, StateTable, Type,
     WildcardType, find_method_decl, state_table,
@@ -42,22 +42,22 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntV(Value):
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolV(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrV(Value):
     value: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitV(Value):
     pass
 
@@ -65,7 +65,7 @@ class UnitV(Value):
 UNIT = UnitV()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Loc(Value):
     """An abstract location; location 0 is null."""
     index: int
@@ -78,7 +78,7 @@ class Loc(Value):
 NULL = Loc(0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObjV(Value):
     """An object value tagged with its current state.
 
@@ -103,7 +103,7 @@ class ObjV(Value):
         return replace(self, fields=out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndexedV(Value):
     """Join of the values the arms of an abstract match produced."""
     options: tuple[Value, ...]
@@ -210,7 +210,7 @@ def default(ty: Type) -> Value:
 # Interpreter
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class TraceEntry:
     rule: str
     span: Span

@@ -95,6 +95,9 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "string":
             text = text[1:-1]
             if "\\" in text:
+                if "\n" in text:   # escaped newlines: later tokens sit lower
+                    line += text.count("\n")
+                    line_start = m.start() + text.rindex("\n") + 2
                 text = ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), text)
         elif kind == "error":
             message = ("unterminated string literal" if text == '"'

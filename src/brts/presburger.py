@@ -25,9 +25,10 @@ internal to this module (the parser has no syntax for them).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Optional
+
+from .record import record
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +166,12 @@ class Formula:
         return neg(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FalseF(Formula):
     pass
 
@@ -179,26 +180,26 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Le(Formula):
     """lin <= 0"""
     lin: Lin
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EqZ(Formula):
     """lin == 0"""
     lin: Lin
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dvd(Formula):
     """d | lin, with d >= 1.  Internal to elimination."""
     d: int
     lin: Lin
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotDvd(Formula):
     """d does not divide lin.  Internal to elimination."""
     d: int
@@ -210,35 +211,35 @@ def _cached_hash(node: Formula) -> int:
 
     An And, Or, Not or Exists hashes its whole subtree, and `conj` and
     `disj` hash every part they get.  The instance dict holds exactly the
-    dataclass fields, in order, until the hash is stored beside them.
+    record's fields, in order, as its `__init__` stored them, until the
+    hash is stored beside them.
     """
     fields = node.__dict__
     h = fields.get("_hash")
     if h is None:
-        h = hash(tuple(fields.values()))
-        object.__setattr__(node, "_hash", h)
+        h = fields["_hash"] = hash(tuple(fields.values()))
     return h
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And(Formula):
     parts: tuple[Formula, ...]
     __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
     __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not(Formula):
     body: Formula
     __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
@@ -694,7 +695,7 @@ def _subst_var(f: Formula, var: str, value: Lin) -> Formula:
     return simplify(map_atoms(f, lambda a: _subst_atom(a, var, value)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Branch:
     """One Cooper disjunct: the formula with var eliminated, plus how to
     reconstruct a concrete value of delta*var from a model of the disjunct."""

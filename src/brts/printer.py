@@ -6,9 +6,8 @@ what the round-trip tests pin down.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .presburger import And, Formula, TRUE, render, render_term
+from .record import replace
 from . import syntax as ast
 
 INDENT = "    "
@@ -170,14 +169,11 @@ def strip_spans(node):
     """Structural copy with every span reset; lets tests compare parse trees."""
     from .diagnostics import NO_SPAN, Span
 
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        if isinstance(node, Span):
-            return NO_SPAN
-        updates = {}
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            updates[f.name] = strip_spans(value)
-        return dataclasses.replace(node, **updates)
+    if isinstance(node, Span):
+        return NO_SPAN
+    fields = getattr(node, "_fields", None)
+    if fields is not None:
+        return replace(node, **{n: strip_spans(getattr(node, n)) for n in fields})
     if isinstance(node, tuple):
         return tuple(strip_spans(x) for x in node)
     return node

@@ -2,17 +2,18 @@
 and the state table the checker and interpreter consult.
 
 Statements and expressions share one tree; statement forms evaluate to the
-unit value.  All nodes are frozen and carry a source span.  Arithmetic
-terms are not tree nodes: the parser flattens each one to a `Lin`.
+unit value.  All nodes are records, immutable by convention, and carry a
+source span.  Arithmetic terms are not tree nodes: the parser flattens each
+one to a `Lin`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Span
 from .presburger import Formula, Lin
+from .record import record
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +24,7 @@ class Type:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimType(Type):
     name: str  # void | int | bool | string
 
@@ -34,19 +35,19 @@ BOOL = PrimType("bool")
 STRING = PrimType("string")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateRef(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PermPair(Type):
     """(a, t) with a in {1 unique, 2 shared, -1 immutable}."""
     perm: int
     inner: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InstanceType(Type):
     """A member of a declared family at concrete coordinates and state.
 
@@ -60,24 +61,24 @@ class InstanceType(Type):
     state: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WildcardType(Type):
     """Written ``_``; elaborates to the weakest instance over the target state."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChangeType(Type):
     pre: Type
     post: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunType(Type):
     params: tuple[Type, ...]
     ret: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodType(Type):
     """Resolved signature: return type plus the per-name transition contracts."""
     ret: Type
@@ -86,7 +87,7 @@ class MethodType(Type):
     defined_in: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnionType(Type):
     """Finite union produced by match arms; collapses when members agree."""
     members: tuple[Type, ...]
@@ -100,31 +101,31 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit(Expr):
     value: int
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit(Expr):
     value: bool
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrLit(Expr):
     value: str
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarRef(Expr):
     name: str
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NewObj(Expr):
     state: str
     inst: Optional[InstanceType]     # set for dependently created objects
@@ -132,7 +133,7 @@ class NewObj(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypestateLit(Expr):
     """A permission-and-instance literal used as an update source."""
     perm: int
@@ -140,14 +141,14 @@ class TypestateLit(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldRef(Expr):
     obj: Expr
     name: str
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodCall(Expr):
     recv: Expr
     method: str
@@ -155,7 +156,7 @@ class MethodCall(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Block(Expr):
     """{ s1; ...; sn }: evaluates to the last statement's value, or unit
     when empty or when it ends with a declaration."""
@@ -163,7 +164,7 @@ class Block(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl(Expr):
     """var/val [T] x = e; its scope is the rest of the enclosing block."""
     name: str
@@ -173,7 +174,7 @@ class VarDecl(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Let(Expr):
     """let x = e in s: an immutable binding scoped over one statement."""
     name: str
@@ -182,7 +183,7 @@ class Let(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldAssign(Expr):
     """let x.f = e in body"""
     target: str
@@ -192,7 +193,7 @@ class FieldAssign(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Update(Expr):
     """e <- e1: strong update of the target's binding."""
     target: Expr
@@ -200,14 +201,14 @@ class Update(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatchArm(Expr):
     state: str
     body: Block
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Match(Expr):
     scrutinee: Expr
     scope: Optional[str]             # the S in match (e : S), when written
@@ -216,14 +217,14 @@ class Match(Expr):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CaseExpr(Expr):
     scrutinee: Expr
     body: Block
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Expr):
     bound_vars: tuple[str, ...]
     invariant: Formula
@@ -240,7 +241,7 @@ class Decl:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl(Decl):
     mutable: bool                    # var vs val
     type: Type
@@ -249,14 +250,14 @@ class FieldDecl(Decl):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     name: str
     change: ChangeType
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodDecl(Decl):
     ret: Type
     name: str
@@ -266,7 +267,7 @@ class MethodDecl(Decl):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeFamDecl(Decl):
     """type NAME : Pi(phi(v1, .., vk), StateBound)
 
@@ -279,7 +280,7 @@ class TypeFamDecl(Decl):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateDecl(Decl):
     name: str
     parent: Optional[str]            # the case-of target
@@ -287,7 +288,7 @@ class StateDecl(Decl):
     span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     states: tuple[StateDecl, ...]
     span: Span = NO_SPAN
@@ -297,7 +298,7 @@ class Program:
 # State table
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class StateInfo:
     decl: StateDecl
     parent: Optional[str]

@@ -21,7 +21,6 @@ coordinate names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Diagnostic, Span
@@ -32,6 +31,7 @@ from .presburger import (
     witness, FALSE, TRUE,
 )
 from . import syntax as ast
+from .record import record, replace
 from .syntax import (
     BOOL, INT, STRING, VOID,
     ChangeType, InstanceType, PermPair, PrimType, StateRef,
@@ -44,7 +44,7 @@ from .syntax import (
 # Context
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Binding:
     type: Type
     mutable: bool = True
@@ -118,7 +118,7 @@ class Ctx:
 # Obligations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Obligation:
     span: Span
     rule: str
@@ -152,24 +152,24 @@ class Obligation:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WfRel:
     ty: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubRel:
     t1: Type
     t2: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EqRel:
     t1: Type
     t2: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransRel:
     """A transition or function type paired with what its body established."""
     pre: Type
@@ -177,7 +177,7 @@ class TransRel:
     post: Type
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QueryRecord:
     kind: str                  # "subtype" | "equal"
     t1: Type                   # context-frozen

@@ -140,8 +140,10 @@ def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -
         lts.states.append(cur)
         moves = []
         for ann in annotations:
-            applies = (table.is_substate(cur.control, ann.pre_state) if table is not None
-                       else cur.control == ann.pre_state)
+            applies = (ann.family == initial.family
+                       and len(ann.pre_args) == len(cur.valuation)
+                       and (table.is_substate(cur.control, ann.pre_state) if table is not None
+                            else cur.control == ann.pre_state))
             if not applies:
                 continue
             for sigma in reference_match_args(ann, cur.valuation, bound):

@@ -67,7 +67,12 @@ def tokenize(source: str) -> list[Token]:
             if j >= n:
                 raise BrtsError("LexError", "unterminated string literal", start)
             tokens.append(Token("string", "".join(buf), Span(line, col, line, col + (j - i))))
-            col += j - i + 1
+            literal = source[i:j + 1]
+            if "\n" in literal:    # escaped newlines move the later tokens down
+                line += literal.count("\n")
+                col = len(literal) - literal.rindex("\n")
+            else:
+                col += j - i + 1
             i = j + 1
             continue
         for sym in SYMBOLS:

@@ -155,6 +155,18 @@ def test_reach_witness_and_none():
     assert "no violation" in out2.stdout
 
 
+@pytest.mark.parametrize("quantified, enumerated", [
+    ("exists k. n == 2 * k", "n == -2 || n == 0 || n == 2"),
+    ("exists k. n == 2 * k + 1", "n == -1 || n == 1"),
+])
+def test_reach_quantified_bad_formula(quantified, enumerated):
+    # within --bound 2, the quantified formula holds at the enumerated values
+    got = brts("reach", "corpus/dyck/machine.mca", "--bad", quantified, "--bound", "2")
+    want = brts("reach", "corpus/dyck/machine.mca", "--bad", enumerated, "--bound", "2")
+    assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+    assert got.returncode == 4, got.stderr
+
+
 def test_reach_bound_default_ignores_the_environment(monkeypatch):
     # the mutant's shortest violation ends at (2, 3), past a bound of 2
     monkeypatch.setenv("BRTS_BOUND", "2")
@@ -398,6 +410,17 @@ def test_cli_import_leaves_out_counters():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # records are built by brts.record; each CLI process skips both imports
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, brts.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("body, printed", [

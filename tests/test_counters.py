@@ -164,7 +164,7 @@ def test_brts_lts_unsatisfiable_initial():
 
 def test_brts_lts_free_post_variable_ranges_over_the_bound():
     # `bump` constrains nothing about its post coordinate k
-    bump = Annotation("bump", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),), TRUE)
+    bump = Annotation("bump", "C", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),), TRUE)
     initial = InstanceType("C", (Const(0),), TRUE, "Ctr")
     for bound in (0, 2, 5):
         lts = brts_to_lts([bump], initial, bound)
@@ -174,11 +174,48 @@ def test_brts_lts_free_post_variable_ranges_over_the_bound():
 
 
 def test_brts_lts_quantified_post_constraint():
-    step = Annotation("step", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),),
+    step = Annotation("step", "C", "Ctr", (Var("n"),), TRUE, "Ctr", (Var("k"),),
                       exists("j", parse_formula("k == n + j && j == 1")))
     initial = InstanceType("C", (Const(0),), TRUE, "Ctr")
     lts = brts_to_lts([step], initial, bound=3)
     assert [s.valuation for s in lts.states] == [(0,), (1,), (2,), (3,)]
+
+
+TWO_FAMILIES = """
+state Ctr { }
+state Ops {
+    type C : Pi(phi(n), Ctr);
+    type D : Pi(phi(a, b), Ctr);
+    void inc((1, C(phi(n), Ctr)) >> (1, C(phi(n + 1), Ctr)) w)[] {
+        w <- (1, C(phi(n + 1), Ctr));
+    }
+    void twin((1, D(phi(a, b), Ctr)) >> (1, D(phi(a + 1, b), Ctr)) w)[] {
+        w <- (1, D(phi(a + 1, b), Ctr));
+    }
+}
+state Main {
+    void main()[] {
+        var (1, _) ops = new Ops();
+        var (1, C(phi(0), Ctr)) w = new Ctr();
+    }
+}
+"""
+
+
+def test_brts_lts_applies_only_the_initial_familys_contracts():
+    # `twin` is a contract over D's two coordinates; the object is a C
+    from brts.cli import initial_instance_of
+    program = parse_program(TWO_FAMILIES)
+    table = state_table(program)
+    anns = annotations_of_program(table)
+    assert sorted((a.label, a.family) for a in anns) == [("inc", "C"), ("twin", "D")]
+    br = brts_to_lts(anns, initial_instance_of(program), bound=2, table=table)
+    assert [s.valuation for s in br.states] == [(0,), (1,), (2,)]
+    assert br.actions == {"inc"}
+    machine = parse_machine("counters n\nstate q\ninit q 0\n"
+                            "trans q -> q : inc : n' == n + 1\n")
+    rel = check_simulation(br, mca_to_lts(machine, bound=2))
+    assert isinstance(rel, SimulationRelation) and rel.size() == 6
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,18 @@ def random_constraint(rng: random.Random):
     return conj(*parts) if parts else TRUE
 
 
-def random_contract(rng: random.Random, label: str) -> Annotation:
-    pre = tuple(random_pre_arg(rng) for _ in range(rng.randint(1, 2)))
+def random_contract(rng: random.Random, label: str, arity: int) -> Annotation:
+    # mostly of the initial instance's family and arity; the post arity may
+    # differ, so the states reached over it have no matching contract
+    family = "G" if rng.random() < 0.1 else "F"
+    pre = tuple(random_pre_arg(rng) for _ in range(arity + (rng.random() < 0.1)))
     # post arguments mostly reuse a pre argument's variable; the others are
     # unpinned, or free when no constraint mentions them either
     near = sorted({v for a in pre for v in a.coeffs}) or list(LOGICAL)
     post = tuple(Var(rng.choice(near if rng.random() < 0.8 else LOGICAL))
                  + rng.randint(-1, 1) if rng.random() < 0.8
                  else Const(rng.randint(-1, 1)) for _ in range(rng.randint(1, 2)))
-    return Annotation(label, rng.choice("AB"), pre, random_constraint(rng),
+    return Annotation(label, family, rng.choice("AB"), pre, random_constraint(rng),
                       rng.choice("AB"), post, random_constraint(rng))
 
 
@@ -183,9 +186,10 @@ def test_brts_to_lts_matches_reference_on_random_contracts():
     rng = random.Random(1702)
     compared = excluded = 0
     for _ in range(400):
-        annotations = [random_contract(rng, label) for label in "abcd"[:rng.randint(2, 4)]]
-        initial = InstanceType("F", tuple(Const(rng.randint(-1, 1))
-                                          for _ in range(rng.randint(1, 2))),
+        arity = rng.randint(1, 2)
+        annotations = [random_contract(rng, label, arity)
+                       for label in "abcd"[:rng.randint(2, 4)]]
+        initial = InstanceType("F", tuple(Const(rng.randint(-1, 1)) for _ in range(arity)),
                                TRUE, rng.choice("AB"))
         bound = rng.randint(1, 2)
         got = brts_to_lts(annotations, initial, bound, final=even_sum)

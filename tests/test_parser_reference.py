@@ -84,3 +84,10 @@ def test_character_classes_agree_with_str_methods():
     text = "".join(map(chr, range(sys.maxunicode + 1)))
     assert set(re.findall(r"\w", text)) == {c for c in text if c.isalnum() or c == "_"}
     assert set(re.findall(r"\d", text)) == {c for c in text if c.isdecimal()}
+
+
+def test_escaped_newline_in_a_string_moves_later_tokens_down():
+    source = 'state Main {\n    void main()[] {\n        var s = "a\\\n";\n        y;\n    }\n}\n'
+    y = next(t for t in tokenize(source) if t.lexeme == "y")
+    assert y.span == Span(5, 9, 5, 9)
+    assert_same(source)
