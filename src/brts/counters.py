@@ -184,11 +184,9 @@ class Lts:
     finals: set[LtsState]
     actions: set[str]
 
-    def __init__(self, counters: tuple[str, ...], initial: LtsState,
-                 states: Optional[list[LtsState]] = None,
-                 transitions: Optional[dict[LtsState, tuple[tuple[str, LtsState], ...]]] = None,
-                 finals: Optional[set[LtsState]] = None,
-                 actions: Optional[set[str]] = None):
+    def __init__(self, counters, initial, states=None, transitions=None, finals=None,
+                 actions=None):
+        # each container omitted starts empty and is the instance's own
         self.counters = counters
         self.initial = initial
         self.states = [] if states is None else states
