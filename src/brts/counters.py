@@ -10,9 +10,13 @@ explored window.
 
 Guards are solved directly over the integers.  Their shape (a conjunction
 of comparisons over at most two variables with unit coefficients) lets unit
-equations pin a primed counter from known values; only the primed counters
-still free after that propagation are enumerated over the bound, and each
-candidate costs one ground evaluation of the guard.
+equations pin a primed counter from known values.  Which counter each
+equation pins depends only on the guard, so every guard is compiled once,
+when its machine is built, into a generated Python function.  Per state it
+assigns the framed and pinned primed counters, tests them against the bound
+and tests the atoms already known; then one `itertools.product` enumerates
+the primed counters still free over the bound, and each candidate costs a
+test of the remaining atoms.
 
 Simulation is the greatest relation refined by predecessor counters
 (Henzinger, Henzinger & Kopke, "Computing simulations on finite and
@@ -79,27 +83,26 @@ class CounterMachine:
 
     def __post_init__(self) -> None:
         names = set(self.counters) | {primed(c) for c in self.counters}
-        self._outgoing: dict[str, list[tuple[Transition, frozenset[str]]]] = {}
+        self._outgoing: dict[str, list[tuple[str, str, Callable]]] = {}
         for t in self.transitions:
             if t.src not in self.states or t.dst not in self.states:
                 raise MachineError("UnknownState",
                                    f"transition {t.label} uses an undeclared state")
-            mentioned = free_vars(t.guard)
-            extra = mentioned - names
+            extra = free_vars(t.guard) - names
             if extra:
                 raise MachineError(
                     "UnknownCounter",
                     f"guard of '{t.label}' mentions unknown names: {sorted(extra)}")
             _check_guard_shape(t.guard, t.label)
-            self._outgoing.setdefault(t.src, []).append((t, mentioned))
+            self._outgoing.setdefault(t.src, []).append(
+                (t.label, t.dst, _compile_guard(t.guard, self.counters)))
 
     def successors(self, state: str, valuation: tuple[int, ...],
                    bound: int) -> Iterable[tuple[str, str, tuple[int, ...]]]:
         """All (label, dst, valuation') steps enabled here, within the bound."""
-        env = dict(zip(self.counters, valuation))
-        for t, mentioned in self._outgoing.get(state, ()):
-            for nxt in _guard_solutions(t.guard, mentioned, self.counters, env, bound):
-                yield t.label, t.dst, nxt
+        for label, dst, solutions in self._outgoing.get(state, ()):
+            for nxt in solutions(valuation, bound):
+                yield label, dst, nxt
 
 
 def _guard_atoms(guard: Formula) -> tuple[Formula, ...]:
@@ -120,42 +123,81 @@ def _check_guard_shape(guard: Formula, label: str) -> None:
                 f"guard atom of '{label}' is not of the form x # y + c or x # c")
 
 
-def _guard_solutions(guard: Formula, mentioned: frozenset[str],
-                     counters: tuple[str, ...], env: dict[str, int], bound: int):
-    """Next valuations the guard allows from the current valuation `env`, in
-    the order of the free primed counters' product over the bound.
+def _compile_guard(guard: Formula, counters: tuple[str, ...]) -> Callable:
+    """Compile a guard into `solutions(valuation, bound)`, a generator of
+    the next valuations it allows from `valuation`, in the order of the
+    free primed counters' product over the bound.
 
     Unmentioned primed counters are framed to their current value; a unit
     equation (every variable known but one, whose coefficient is +1 or -1)
-    pins that one; the rest range over the bound."""
+    pins that one; the rest range over the bound.  Which primed counter an
+    equation pins depends only on the guard, so the propagation runs here,
+    once.  The source names counter i `v<i>` and its primed copy `w<i>`;
+    nothing else but int literals enters it."""
     atoms = _guard_atoms(guard)
-    values = dict(env)
-    for c in counters:
+    mentioned = free_vars(guard)
+    names = {c: f"v{i}" for i, c in enumerate(counters)}
+    body = [f"{', '.join(names.values())}, = valuation"] if counters else []
+    for i, c in enumerate(counters):
         if primed(c) not in mentioned:
-            values[primed(c)] = env[c]
-    equations = [a.lin for a in atoms if isinstance(a, EqZ)]
+            names[primed(c)] = f"w{i}"
+            body.append(f"w{i} = v{i}")
+    fixed = {primed(c): f"w{i}" for i, c in enumerate(counters)}
+    unused = list(range(len(atoms)))     # atoms still to be tested
     changed = True
     while changed:
         changed = False
-        for lin in equations:
-            unknown = [v for v in lin.coeffs if v not in values]
-            if len(unknown) == 1:
+        for j, a in enumerate(atoms):
+            unknown = [v for v in a.lin.coeffs if v not in names]
+            if isinstance(a, EqZ) and len(unknown) == 1:
+                # c*v + rest == 0 with c = +1 or -1, so v = -c * rest, and
+                # the equation holds by construction
                 v = unknown[0]
-                rest = lin.const + sum(k * values[u] for u, k in lin.coeffs.items()
-                                       if u != v)
-                values[v] = -rest * lin.coeffs[v]
+                c = a.lin.coeffs[v]
+                rest = {u: -c * d for u, d in a.lin.coeffs.items() if u != v}
+                names[v] = fixed[v]
+                body.append(f"{names[v]} = {_lin_source(rest, -c * a.lin.const, names)}")
+                unused.remove(j)
                 changed = True
     # a fixed value outside the bound, or a fully known atom that fails,
     # rules out every candidate
-    if any(abs(values[primed(c)]) > bound for c in counters if primed(c) in values):
-        return
-    if not all(evaluate(a, values) for a in atoms if a.lin.coeffs.keys() <= values.keys()):
-        return
-    free = [primed(c) for c in counters if primed(c) not in values]
-    for combo in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        values.update(zip(free, combo))
-        if evaluate(guard, values):
-            yield tuple(values[primed(c)] for c in counters)
+    known = [j for j in unused if atoms[j].lin.coeffs.keys() <= names.keys()]
+    tests = [f"-bound <= {w} <= bound" for p, w in fixed.items() if p in names]
+    tests += [_atom_source(atoms[j], names) for j in known]
+    if tests:
+        body.append(f"if not ({' and '.join(tests)}):\n        return")
+    free = [w for p, w in fixed.items() if p not in names]
+    names.update(fixed)
+    result = f"yield ({''.join(w + ', ' for w in fixed.values())})"
+    if free:
+        body.append(f"for {', '.join(free)}, in product(range(-bound, bound + 1), "
+                    f"repeat={len(free)}):")
+        checks = [_atom_source(atoms[j], names) for j in unused if j not in known]
+        if checks:
+            body.append(f"    if {' and '.join(checks)}:")
+            result = "    " + result
+        result = "    " + result
+    body.append(result)
+    namespace = {"product": itertools.product}
+    exec("def solutions(valuation, bound):\n    " + "\n    ".join(body), namespace)
+    return namespace["solutions"]
+
+
+def _lin_source(coeffs: dict[str, int], const: int, names: dict[str, str]) -> str:
+    """Python source of sum(k * v) + const over the generated names."""
+    out = []
+    for v, k in coeffs.items():
+        term = names[v] if abs(k) == 1 else f"{abs(int(k))} * {names[v]}"
+        out.append(("- " if k < 0 else "+ ") + term)
+    if const or not out:
+        out.append(("- " if const < 0 else "+ ") + str(abs(int(const))))
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _atom_source(atom: Formula, names: dict[str, str]) -> str:
+    lhs = _lin_source(atom.lin.coeffs, 0, names)
+    return f"{lhs} {'==' if isinstance(atom, EqZ) else '<='} {-int(atom.lin.const)}"
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,10 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "string":
             text = text[1:-1]
             if "\\" in text:
-                if "\n" in text:   # escaped newlines: later tokens sit lower
+                if "\n" in text:   # escaped newlines: the literal ends lower
                     line += text.count("\n")
                     line_start = m.start() + text.rindex("\n") + 2
+                    span = Span(span.line, col, line, m.end() - line_start)
                 text = ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), text)
         elif kind == "error":
             message = ("unterminated string literal" if text == '"'

@@ -5,8 +5,10 @@ oracles for the indexed versions in `brts.counters`.
 loop: every round re-checks every surviving pair against the relation of
 the round before.  `reference_successors` grounds a machine guard with
 `substitute` + `simplify`, pins primed counters by unit equations and
-enumerates the rest.  Both are slow and obviously faithful to the
-definitions, which is what an oracle is for.
+enumerates the rest.  `reference_reach` is the breadth-first search over
+`reference_successors`, with quantifiers decided by bounded search instead
+of elimination.  All are slow and obviously faithful to the definitions,
+which is what an oracle is for.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from brts.counters import (
     primed,
 )
 from brts.presburger import (
-    And, Const, EqZ, Formula, TRUE, conj, eq, evaluate, free_vars, simplify,
-    substitute,
+    And, Const, EqZ, Exists, Formula, Not, Or, TRUE, conj, eq, evaluate, free_vars,
+    simplify, substitute,
 )
 
 
@@ -126,6 +128,51 @@ def _primed_solutions(grounded: Formula, counters: tuple[str, ...],
             out = tuple(full[primed(c)] for c in counters)
             if all(abs(x) <= bound for x in out):
                 yield out
+
+
+def reference_reach(machine: CounterMachine, bad: Formula, bound: int, radius: int):
+    """The steps of a shortest path from the initial state into a valuation
+    where `bad` holds, found breadth first over `reference_successors`, or
+    None.  `bad` may keep its quantifiers; see `bounded_evaluate`."""
+    def holds(valuation):
+        return bounded_evaluate(bad, dict(zip(machine.counters, valuation)), radius)
+
+    init = (machine.initial, machine.init_valuation)
+    if holds(init[1]):
+        return []
+    parent = {init: None}
+    queue = deque([init])
+    while queue:
+        key = queue.popleft()
+        for label, dst, nxt in reference_successors(machine, key[0], key[1], bound):
+            reached = (dst, nxt)
+            if reached in parent:
+                continue
+            parent[reached] = (key, (label, dst, nxt))
+            if holds(nxt):
+                steps = []
+                while parent[reached] is not None:
+                    reached, step = parent[reached]
+                    steps.append(step)
+                return steps[::-1]
+            queue.append(reached)
+    return None
+
+
+def bounded_evaluate(f: Formula, env: dict[str, int], radius: int) -> bool:
+    """`evaluate`, where `exists v. body` tries v over -radius..radius: exact
+    when some witness, if there is one, lies within the radius."""
+    match f:
+        case Exists(v, body):
+            return any(bounded_evaluate(body, {**env, v: k}, radius)
+                       for k in range(-radius, radius + 1))
+        case And(parts):
+            return all(bounded_evaluate(p, env, radius) for p in parts)
+        case Or(parts):
+            return any(bounded_evaluate(p, env, radius) for p in parts)
+        case Not(body):
+            return not bounded_evaluate(body, env, radius)
+    return evaluate(f, env)
 
 
 def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -> Lts:

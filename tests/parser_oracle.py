@@ -66,13 +66,13 @@ def tokenize(source: str) -> list[Token]:
                     j += 1
             if j >= n:
                 raise BrtsError("LexError", "unterminated string literal", start)
-            tokens.append(Token("string", "".join(buf), Span(line, col, line, col + (j - i))))
             literal = source[i:j + 1]
-            if "\n" in literal:    # escaped newlines move the later tokens down
+            if "\n" in literal:    # escaped newlines: the literal ends lower
                 line += literal.count("\n")
                 col = len(literal) - literal.rindex("\n")
             else:
                 col += j - i + 1
+            tokens.append(Token("string", "".join(buf), Span(start.line, start.col, line, col - 1)))
             i = j + 1
             continue
         for sym in SYMBOLS:

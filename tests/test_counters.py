@@ -91,6 +91,18 @@ def test_mca_to_lts_contains_consume_edge():
     assert ("consume", LtsState("open", (2, 1))) in lts.moves(src)
 
 
+def test_successors_run_compiled_guards(monkeypatch):
+    # guards are compiled when the machine is built, so stepping it never
+    # goes back to the generic formula evaluator
+    machine = prodcons_machine()
+
+    def evaluate(*args):
+        raise AssertionError("successors evaluated a guard formula")
+
+    monkeypatch.setattr("brts.counters.evaluate", evaluate)
+    assert mca_to_lts(machine, bound=3).size() == 20
+
+
 def test_mca_to_lts_no_transitions():
     m = CounterMachine("still", ("s",), "s", ("x",), (0,), ())
     lts = mca_to_lts(m, bound=2)

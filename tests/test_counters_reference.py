@@ -3,6 +3,7 @@ contract matcher against the reference implementations in
 `counters_oracle.py`, and `is_flat` against a brute-force count of
 elementary cycles."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -15,14 +16,16 @@ from brts.cli import initial_instance_of
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
     Transition, annotations_of_program, brts_to_lts, check_simulation, is_flat,
-    load_machine, mca_to_lts, primed,
+    load_machine, mca_to_lts, primed, reach_violation,
 )
 from brts.parser import parse_formula, parse_program
-from brts.presburger import TRUE, Const, Var, conj, disj, eq, evaluate, le
+from brts.presburger import (
+    TRUE, Const, Var, conj, disj, eliminate_quantifiers, eq, evaluate, le,
+)
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
-    reference_brts_to_lts, reference_simulation, reference_successors,
+    reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -220,7 +223,9 @@ def random_guard(rng: random.Random, counters: tuple[str, ...]):
     return conj(*atoms) if atoms else TRUE
 
 
-def test_successors_match_reference_on_random_guards():
+def random_machines():
+    """150 random machines of one to three counters, each with its bound
+    and four valuations within it."""
     rng = random.Random(7)
     for _ in range(150):
         counters = ("x", "y", "z")[:rng.randint(1, 3)]
@@ -231,11 +236,114 @@ def test_successors_match_reference_on_random_guards():
         machine = CounterMachine("random", ("a", "b"), "a", counters,
                                  (0,) * len(counters), transitions)
         bound = rng.randint(0, 2)
-        for _ in range(4):
-            valuation = tuple(rng.randint(-bound, bound) for _ in counters)
+        valuations = [tuple(rng.randint(-bound, bound) for _ in counters)
+                      for _ in range(4)]
+        yield machine, bound, valuations
+
+
+def test_successors_match_reference_on_random_guards():
+    for machine, bound, valuations in random_machines():
+        for valuation in valuations:
             for state in ("a", "b"):
                 assert (list(machine.successors(state, valuation, bound))
                         == reference_successors(machine, state, valuation, bound))
+
+
+def machine_of(counters: tuple[str, ...], *guards: str) -> CounterMachine:
+    return CounterMachine("edge", ("a",), "a", counters, (0,) * len(counters),
+                          tuple(Transition("a", f"t{k}", parse_formula(g), "a")
+                                for k, g in enumerate(guards)))
+
+
+def steps_at(machine: CounterMachine, valuation: tuple[int, ...], bound: int):
+    got = list(machine.successors("a", valuation, bound))
+    assert got == reference_successors(machine, "a", valuation, bound)
+    return got
+
+
+def test_successors_of_a_machine_without_counters():
+    machine = machine_of((), "true", "true")
+    assert steps_at(machine, (), 0) == [("t0", "a", ()), ("t1", "a", ())]
+    assert mca_to_lts(machine, 0).size() == 1
+
+
+def test_successors_enumerate_25_free_counters_in_one_product():
+    counters = tuple(f"x{i}" for i in range(25))
+    machine = machine_of(counters, " && ".join(f"{c}' <= {c}" for c in counters))
+    assert steps_at(machine, (0,) * 25, 0) == [("t0", "a", (0,) * 25)]
+
+
+def test_successors_pin_a_chain_listed_backwards():
+    # the first equation pins y' only once the second has pinned x'
+    machine = machine_of(("x", "y"), "y' == x' + 1 && x' == x + 1")
+    assert steps_at(machine, (0, 2), 2) == [("t0", "a", (1, 2))]
+    assert steps_at(machine, (1, 0), 2) == []
+
+
+def test_successors_drop_a_pin_outside_the_bound():
+    machine = machine_of(("x", "y"), "x' == x + 1 && y' <= y")
+    assert steps_at(machine, (1, 0), 2) == [("t0", "a", (2, -2)), ("t0", "a", (2, -1)),
+                                            ("t0", "a", (2, 0))]
+    assert steps_at(machine, (2, 0), 2) == []
+
+
+def test_successors_drop_a_fully_known_atom_that_fails():
+    machine = machine_of(("x", "y"), "x >= 1 && y' <= x")
+    assert steps_at(machine, (1, 0), 1) == [("t0", "a", (1, -1)), ("t0", "a", (1, 0)),
+                                            ("t0", "a", (1, 1))]
+    assert steps_at(machine, (0, 0), 1) == []
+
+
+def random_bad(rng: random.Random, counters: tuple[str, ...], quantified: tuple[str, ...] = (),
+               depth: int = 3) -> str:
+    """A `--bad` formula with `||`, `~`, `&&` and `exists`.  Each atom
+    compares a counter or a multiple of the innermost quantified name with a
+    counter or 0, plus a small constant, so a witness of an `exists`, if
+    there is one, lies within the bound plus 3."""
+    def sub() -> str:
+        return random_bad(rng, counters, quantified, depth - 1)
+
+    kind = rng.choice(["atom", "atom", "or", "not", "and", "exists"] if depth else ["atom"])
+    if kind == "or":
+        return f"({sub()} || {sub()})"
+    if kind == "and":
+        return f"({sub()} && {sub()})"
+    if kind == "not":
+        return f"~({sub()})"
+    if kind == "exists":
+        return f"exists q{depth}. {random_bad(rng, counters, (f'q{depth}',), depth - 1)}"
+    lhs = rng.choice(counters + quantified)
+    scaled = f"{rng.randint(2, 3)} * {lhs}" if lhs in quantified and rng.random() < 0.5 else lhs
+    other = rng.choice(counters + ("0",))
+    op = rng.choice(["==", "!=", "<=", ">=", "<", ">"])
+    return f"{scaled} {op} {other} + {rng.randint(-2, 2)}"
+
+
+def test_reach_violation_matches_reference_on_random_machines():
+    rng = random.Random(2017)
+    hits = misses = longer = 0
+    # the corpus machines at small bounds reach further than the random ones
+    corpus = [(load_machine(path), bound, None)
+              for path in sorted(CORPUS.glob("*/*.mca")) for bound in (2, 3, 4, 5)]
+    for machine, bound, _ in itertools.chain(random_machines(), corpus):
+        # half of the formulas also ask for a valuation far from the start
+        far = mca_to_lts(machine, bound).states[-1].valuation
+        target = " && ".join(f"{c} == {v}" for c, v in zip(machine.counters, far))
+        for _ in range(4):
+            text = random_bad(rng, machine.counters)
+            if rng.random() < 0.5:
+                text = f"{target} && {text}"
+            bad = parse_formula(text)
+            got = reach_violation(machine, eliminate_quantifiers(bad), bound)
+            want = reference_reach(machine, bad, bound, radius=bound + 3)
+            if want is None:
+                assert got is None, text
+                misses += 1
+            else:
+                assert got is not None and got.steps == want, text
+                hits += 1
+                longer += len(want) > 1
+    assert min(hits, misses, longer) >= 40, (hits, misses, longer)
 
 
 @pytest.mark.parametrize("bound", [3, 6, 9])

@@ -91,3 +91,10 @@ def test_escaped_newline_in_a_string_moves_later_tokens_down():
     y = next(t for t in tokenize(source) if t.lexeme == "y")
     assert y.span == Span(5, 9, 5, 9)
     assert_same(source)
+
+
+def test_escaped_newline_in_a_string_ends_its_span_at_the_closing_quote():
+    source = 'state Main {\n  void main()[] {\n    var s = "a\\\nbc";\n    y;\n  }\n}\n'
+    s = next(t for t in tokenize(source) if t.kind == "string")
+    assert (s.lexeme, s.span) == ("a\nbc", Span(3, 13, 4, 3))
+    assert_same(source)
