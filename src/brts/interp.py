@@ -1,9 +1,10 @@
 """Big-step evaluator over program stores.
 
-The store pairs a reference map (objects and locations) with a value map.
-Objects created at a dependent typestate carry their coordinate valuation;
-signature-driven transitions rewrite those coordinates at runtime, which is
-what the trace tooling reads back out.
+The store is one map from variable names to values, objects included: an
+object holds its own fields, so there is no separate heap.  Objects created
+at a dependent typestate carry their coordinate valuation; signature-driven
+transitions rewrite those coordinates at runtime, which is what the trace
+tooling reads back out.
 
 Two match semantics are provided: concrete mode picks the first arm whose
 guard state covers the scrutinee's tag, abstract mode evaluates every arm
@@ -18,7 +19,7 @@ import itertools
 from typing import Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Span
-from .presburger import Lin
+from .presburger import Formula, Lin, conj, eq, substitute, witness
 from . import syntax as ast
 from .record import record, replace
 from .syntax import (
@@ -67,12 +68,9 @@ UNIT = UnitV()
 
 @record(frozen=True)
 class Loc(Value):
-    """An abstract location; location 0 is null."""
+    """The null reference: the default value of an object-typed variable.
+    `NULL`, at index 0, is the only one built; objects are `ObjV` values."""
     index: int
-
-    @property
-    def is_null(self) -> bool:
-        return self.index == 0
 
 
 NULL = Loc(0)
@@ -130,11 +128,10 @@ def join_values(a: Value, b: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 class Store:
-    """Reference-variable and value-variable maps plus a location counter."""
+    """Each variable's value, plus the counter that numbers new objects."""
 
     def __init__(self) -> None:
-        self.theta: dict[str | int, Value] = {}
-        self.delta: dict[str, Value] = {}
+        self.vars: dict[str, Value] = {}
         self._next_loc = 1
 
     def fresh_loc(self) -> int:
@@ -144,46 +141,30 @@ class Store:
 
     def copy(self) -> "Store":
         out = Store()
-        out.theta = dict(self.theta)
-        out.delta = dict(self.delta)
+        out.vars = dict(self.vars)
         out._next_loc = self._next_loc
         return out
 
     def bind(self, name: str, value: Value) -> None:
-        if isinstance(value, (ObjV, Loc, IndexedV)):
-            self.delta.pop(name, None)
-            self.theta[name] = value
-        else:
-            self.theta.pop(name, None)
-            self.delta[name] = value
+        self.vars[name] = value
 
-    def saved(self, name: str) -> tuple[Optional[Value], Optional[Value]]:
+    def saved(self, name: str) -> Optional[Value]:
         """What `restore` needs to put name's binding back."""
-        return self.theta.get(name), self.delta.get(name)
+        return self.vars.get(name)
 
-    def restore(self, name: str, saved: tuple[Optional[Value], Optional[Value]]) -> None:
-        self.theta.pop(name, None)
-        self.delta.pop(name, None)
-        theta, delta = saved
-        if theta is not None:
-            self.theta[name] = theta
-        if delta is not None:
-            self.delta[name] = delta
+    def restore(self, name: str, saved: Optional[Value]) -> None:
+        if saved is None:
+            self.vars.pop(name, None)
+        else:
+            self.vars[name] = saved
 
     def lookup(self, name: str) -> Optional[Value]:
-        if name in self.delta:
-            return self.delta[name]
-        return self.theta.get(name)
-
-    def names(self) -> set[str]:
-        return {k for k in self.theta if isinstance(k, str)} | set(self.delta)
+        return self.vars.get(name)
 
     def join(self, other: "Store") -> "Store":
         out = self.copy()
-        for k, v in other.theta.items():
-            out.theta[k] = join_values(out.theta[k], v) if k in out.theta else v
-        for k, v in other.delta.items():
-            out.delta[k] = join_values(out.delta[k], v) if k in out.delta else v
+        for k, v in other.vars.items():
+            out.vars[k] = join_values(out.vars[k], v) if k in out.vars else v
         out._next_loc = max(self._next_loc, other._next_loc)
         return out
 
@@ -233,6 +214,7 @@ class Interp:
         self.trace: list[TraceEntry] = []
         # signature variables of the innermost call, for typestate literals
         self._sigma_stack: list[dict[str, int]] = [{}]
+        self._signatures: dict[int, _Signature] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -249,14 +231,27 @@ class Interp:
     def _sigma(self) -> dict[str, int]:
         return self._sigma_stack[-1]
 
-    def _eval_term(self, lin: Lin, span: Span) -> int:
-        env = {}
-        for v in lin.variables():
-            if v not in self._sigma:
+    def _eval_term(self, lin: Lin, span: Span,
+                   sigma: Optional[dict[str, int]] = None) -> int:
+        sigma = self._sigma if sigma is None else sigma
+        for v in lin.coeffs:
+            if v not in sigma:
                 raise RuntimeErr("UnboundRuntimeName",
                                  f"logical variable '{v}' has no runtime value", span)
-            env[v] = self._sigma[v]
-        return lin.evaluate(env)
+        return lin.evaluate(sigma)
+
+    @staticmethod
+    def _complete(sigma: dict[str, int], variables: frozenset[str],
+                  facts: Formula) -> dict[str, int]:
+        """sigma with a value for each of `variables` it lacks: a model of
+        facts with sigma's values put in, and 0 for a variable the facts
+        leave free.  sigma itself when it lacks none, or facts have no model."""
+        if variables <= sigma.keys():
+            return sigma
+        model = witness(substitute(facts, {x: Lin.constant(n) for x, n in sigma.items()}))
+        if model is None:
+            return sigma
+        return {**dict.fromkeys(variables, 0), **sigma, **model}
 
     def _new_object(self, state: str, inst: Optional[InstanceType],
                     store: Store, span: Span) -> ObjV:
@@ -269,9 +264,7 @@ class Interp:
         if inst is not None and inst.args:
             coords = tuple(self._eval_term(a, span) for a in inst.args)
             family = inst.family
-        obj = ObjV(state, tuple(fields), coords, family, store.fresh_loc())
-        store.theta[obj.loc] = obj
-        return obj
+        return ObjV(state, tuple(fields), coords, family, store.fresh_loc())
 
     # -- evaluation ------------------------------------------------------------
 
@@ -305,7 +298,6 @@ class Interp:
                 coords = tuple(self._eval_term(a, span) for a in inst.args)
                 obj = ObjV(inst.state, (), coords if inst.args else None,
                            inst.family, store.fresh_loc())
-                store.theta[obj.loc] = obj
                 self._emit("typestate", span, state=inst.state, coords=list(coords))
                 return obj, store
             case ast.FieldRef(obj_e, name, span):
@@ -325,7 +317,7 @@ class Interp:
                 store.bind(name, value)
                 self._emit("let", span, name=name)
                 value, store = self.eval(store, body)
-                if shadowed != (None, None):
+                if shadowed is not None:
                     store.restore(name, shadowed)
                 return value, store
             case ast.FieldAssign(target, name, value_e, body, span):
@@ -334,9 +326,7 @@ class Interp:
                 if obj.field_value(name) is None:
                     raise RuntimeErr("UnboundRuntimeName",
                                      f"object has no field '{name}'", span)
-                updated = obj.with_field(name, value)
-                store.theta[updated.loc] = updated
-                store.bind(target, updated)
+                store.bind(target, obj.with_field(name, value))
                 self._emit("update-field", span, field=name)
                 return self.eval(store, body)
             case ast.Update(target, source, span):
@@ -356,7 +346,7 @@ class Interp:
     def eval_block(self, store: Store, stmts: tuple[ast.Expr, ...]) -> tuple[Value, Store]:
         """Each declaration binds over the rest of the block; when the block
         ends, every binding a declaration shadowed is put back."""
-        shadowed: dict[str, tuple[Optional[Value], Optional[Value]]] = {}
+        shadowed: dict[str, Optional[Value]] = {}
         value: Value = UNIT
         for stmt in stmts:
             if isinstance(stmt, ast.VarDecl):
@@ -372,7 +362,7 @@ class Interp:
             else:
                 value, store = self.eval(store, stmt)
         for name, old in shadowed.items():
-            if old != (None, None):
+            if old is not None:
                 store.restore(name, old)
         return value, store
 
@@ -385,23 +375,24 @@ class Interp:
 
     def _deref(self, value: Value, span: Span) -> ObjV:
         if isinstance(value, Loc):
-            if value.is_null:
-                raise RuntimeErr("NullDereference", "null dereference", span)
-            raise RuntimeErr("NullDereference", "dangling location", span)
+            raise RuntimeErr("NullDereference", "null dereference", span)
         if not isinstance(value, ObjV):
             raise RuntimeErr("UnboundRuntimeName",
                              f"expected an object, got {value!r}", span)
         return value
 
     def _adopt_declared(self, value: Value, declared: Type, span: Span) -> Value:
-        """A dependent ascription on a plain new: the creation formula comes
-        from the declaration."""
+        """A dependent ascription on a plain new: the coordinates come from
+        the declaration."""
         inst = declared.inner if isinstance(declared, PermPair) else declared
-        if isinstance(inst, InstanceType) and inst.args and isinstance(value, ObjV):
-            if value.coords is None:
-                if all(a.is_const for a in inst.args):
-                    coords = tuple(a.const for a in inst.args)
-                    return replace(value, coords=coords, family=inst.family)
+        if isinstance(inst, InstanceType) and inst.args and isinstance(value, ObjV) \
+                and value.coords is None:
+            # the checker reads the declared terms as some model of the
+            # constraint; the enclosing call's variables keep their values
+            variables = frozenset().union(*(a.coeffs.keys() for a in inst.args))
+            sigma = self._complete(self._sigma, variables, inst.constraint)
+            coords = tuple(self._eval_term(a, span, sigma) for a in inst.args)
+            return replace(value, coords=coords, family=inst.family)
         return value
 
     def eval_update(self, store: Store, target: ast.Expr, source: ast.Expr,
@@ -417,7 +408,6 @@ class Interp:
             family = src_value.family or old.family
             fields = src_value.fields if src_value.fields else old.fields
             new_value = replace(src_value, coords=coords, family=family, fields=fields)
-            store.theta[new_value.loc] = new_value
         store.bind(target.name, new_value)
         self._emit("update", span, name=target.name,
                    coords=list(new_value.coords) if isinstance(new_value, ObjV)
@@ -439,21 +429,7 @@ class Interp:
             v, store = self.eval(store, a)
             arg_values.append(v)
 
-        # instantiate the signature's logical variables from runtime counters
-        sigma: dict[str, int] = {}
-        formals = list(decl.params)
-        pairs = list(zip(formals, arg_values))
-        env_pairs = [(p, recv_obj) for p in decl.env if p.name == "this"]
-        for p, v in pairs + env_pairs:
-            pre = p.change.pre
-            inst = pre.inner if isinstance(pre, PermPair) else pre
-            if isinstance(inst, InstanceType) and isinstance(v, ObjV) and v.coords:
-                for lin, coord in zip(inst.args, v.coords):
-                    if len(lin.coeffs) == 1 and lin.const == 0:
-                        (var, coeff), = lin.coeffs.items()
-                        if coeff == 1:
-                            sigma.setdefault(var, coord)
-
+        sigma = self._instantiate(decl, arg_values, recv_obj)
         names = [p.name for p in decl.params] + ["this"]
         saved = {name: store.saved(name) for name in names}
         for p, v in zip(decl.params, arg_values):
@@ -468,8 +444,10 @@ class Interp:
                 # trusted signature: apply the declared transition directly
                 result = UNIT
                 for p, v in zip(decl.params, arg_values):
-                    nv = self._apply_post(p.change, v, store, e.span)
-                    store.bind(p.name, nv)
+                    store.bind(p.name, self._apply_post(p.change, v, e.span))
+                for p in decl.env:
+                    if p.name == "this":
+                        store.bind("this", self._apply_post(p.change, recv_obj, e.span))
         finally:
             self._sigma_stack.pop()
 
@@ -479,10 +457,6 @@ class Interp:
             out_v = store.lookup(p.name)
             updated.append(out_v)
         this_out = store.lookup("this")
-        if decl.body is None:
-            this_env = [p for p in decl.env if p.name == "this"]
-            if this_env:
-                this_out = self._apply_post(this_env[0].change, recv_obj, store, e.span)
 
         for name, old in saved.items():
             store.restore(name, old)
@@ -501,8 +475,45 @@ class Interp:
                    coords=coords, depth=len(self._sigma_stack) - 1)
         return result, store
 
-    def _apply_post(self, change: ChangeType, value: Value, store: Store,
-                    span: Span) -> Value:
+    def _instantiate(self, decl: ast.MethodDecl, args: list[Value],
+                     recv: ObjV) -> dict[str, int]:
+        """Values for the signature's logical variables, read off the
+        coordinates of the arguments (then the receiver) the way the checker
+        reads a call: each pre-argument term equals its coordinate.  An
+        equation left with one unknown whose coefficient divides the rest
+        binds it, until none binds a new one; the first binding wins.  A
+        variable still unknown takes its value from a model of the
+        signature's equations and constraints, which a checked call
+        guarantees to exist."""
+        sig = self._signatures.get(id(decl))
+        if sig is None:
+            sig = self._signatures[id(decl)] = _signature_of(decl)
+        terms, variables, constraint = sig
+        equations = []
+        for i, j, lin in terms:
+            v = recv if i < 0 else args[i] if i < len(args) else None
+            if isinstance(v, ObjV) and v.coords and j < len(v.coords):
+                equations.append((lin, v.coords[j]))
+        sigma: dict[str, int] = {}
+        bound = True
+        while bound and not variables <= sigma.keys():
+            bound = False
+            for lin, coord in equations:
+                free, rest = [], coord - lin.const
+                for x, k in lin.coeffs.items():
+                    if x in sigma:
+                        rest -= k * sigma[x]
+                    else:
+                        free.append(x)
+                if len(free) == 1 and rest % lin.coeffs[free[0]] == 0:
+                    sigma[free[0]] = rest // lin.coeffs[free[0]]
+                    bound = True
+        if variables <= sigma.keys():
+            return sigma
+        facts = [eq(lin, Lin.constant(coord)) for lin, coord in equations]
+        return self._complete(sigma, variables, conj(constraint, *facts))
+
+    def _apply_post(self, change: ChangeType, value: Value, span: Span) -> Value:
         if not isinstance(value, ObjV):
             return value
         post = change.post
@@ -511,14 +522,11 @@ class Interp:
             coords = value.coords
             if inst.args and value.coords is not None:
                 coords = tuple(self._eval_term(a, span) for a in inst.args)
-            out = replace(value, state=inst.state, coords=coords,
-                          family=inst.family or value.family)
-        elif isinstance(inst, StateRef):
-            out = replace(value, state=inst.name)
-        else:
-            return value
-        store.theta[out.loc] = out
-        return out
+            return replace(value, state=inst.state, coords=coords,
+                           family=inst.family or value.family)
+        if isinstance(inst, StateRef):
+            return replace(value, state=inst.name)
+        return value
 
     # -- match -------------------------------------------------------------------
 
@@ -585,6 +593,31 @@ class Interp:
                 return UNIT, store
             self._emit("while-true", e.span)
             _, store = self.eval(store, e.body)
+
+
+# the (argument, coordinate, pre term) equations, argument -1 standing for the
+# receiver; the variables of every pre and post term; and the pre and post
+# constraints
+_Signature = tuple[tuple[tuple[int, int, Lin], ...], frozenset[str], Formula]
+
+
+def _signature_of(decl: ast.MethodDecl) -> _Signature:
+    """What instantiating a method's logical variables reads."""
+    changes = list(enumerate(p.change for p in decl.params))
+    changes += [(-1, p.change) for p in decl.env if p.name == "this"]
+    terms: list[tuple[int, int, Lin]] = []
+    variables: set[str] = set()
+    constraints = []
+    for i, change in changes:
+        pre, post = (t.inner if isinstance(t, PermPair) else t
+                     for t in (change.pre, change.post))
+        if isinstance(pre, InstanceType):
+            terms += [(i, j, lin) for j, lin in enumerate(pre.args)]
+        for inst in (pre, post):
+            if isinstance(inst, InstanceType):
+                variables.update(*(lin.coeffs for lin in inst.args))
+                constraints.append(inst.constraint)
+    return tuple(terms), frozenset(variables), conj(*constraints)
 
 
 # ---------------------------------------------------------------------------

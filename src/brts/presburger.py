@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional
 
 from .record import record
 
@@ -765,11 +765,10 @@ def cooper_eliminate(var: str, f_qf: Formula) -> Formula:
         return f_qf
     if isinstance(f_qf, Or):
         return disj(*(cooper_eliminate(var, p) for p in f_qf.parts))
+    rest, solved = _solve_unit_equalities(f_qf, {var})
+    if solved:
+        return rest
     pins = _pins(f_qf, var)
-    for lin in pins:
-        c = lin.coeff(var)
-        if abs(c) == 1:
-            return _subst_var(f_qf, var, lin.drop(var).scale(-c))
     if pins:
         g, delta = _unitize(f_qf, var)
         lin = pins[0]
@@ -797,23 +796,23 @@ def eliminate_quantifiers(f: Formula) -> Formula:
 def project_onto(f: Formula, keep: Iterable[str]) -> Formula:
     """Existentially quantify away every free variable not in keep.
 
-    Variables pinned by a top-level unit equality go first: those
-    eliminations are exact substitutions and keep the intermediate formulas
-    small.  After them, the variable whose elimination makes the fewest
-    disjuncts goes first, so that Cooper periods do not multiply needlessly;
-    ties go to the alphabetically first variable.
+    Variables pinned by a top-level unit equality go first, in one
+    `_solve_unit_equalities` pass per round: those eliminations are exact
+    substitutions and keep the intermediate formulas small.  After them,
+    the variable whose elimination makes the fewest disjuncts goes first,
+    so that Cooper periods do not multiply needlessly; ties go to the
+    alphabetically first variable.
     """
     keep_set = set(keep)
     qf = eliminate_quantifiers(f)
     while True:
-        remaining = sorted(free_vars(qf) - keep_set)
+        remaining = free_vars(qf) - keep_set
         if not remaining:
             return qf
-        pick = next((v for v in remaining
-                     if any(abs(lin.coeff(v)) == 1 for lin in _pins(qf, v))), None)
-        if pick is None:
-            pick = min(remaining, key=lambda v: _disjunct_count(qf, v))
-        qf = cooper_eliminate(pick, qf)
+        qf, solved = _solve_unit_equalities(qf, remaining)
+        if not solved:
+            pick = min(sorted(remaining), key=lambda v: _disjunct_count(qf, v))
+            qf = cooper_eliminate(pick, qf)
 
 
 def _pins(f: Formula, var: str) -> list[Lin]:
@@ -849,12 +848,16 @@ def _conjuncts(f: Formula) -> tuple[Formula, ...]:
     return f.parts if isinstance(f, And) else (f,)
 
 
-def _unit_pivot(parts: Iterable[Formula]) -> Optional[tuple[str, Lin]]:
-    """The first conjunct ``lin == 0`` with a unit coefficient pins the
-    first such variable of ``lin``, to the returned term."""
+def _unit_pivot(parts: Iterable[Formula],
+                solvable: Optional[Container[str]]) -> Optional[tuple[str, Lin]]:
+    """The first conjunct ``lin == 0`` with a unit coefficient on a variable
+    in solvable (any variable when solvable is None) pins the first such
+    variable of ``lin``, to the returned term."""
     for a in parts:
         if isinstance(a, EqZ):
             for v, c in a.lin.coeffs.items():
+                if solvable is not None and v not in solvable:
+                    continue
                 if c == 1:
                     return v, a.lin.drop(v).scale(-1)
                 if c == -1:
@@ -862,8 +865,10 @@ def _unit_pivot(parts: Iterable[Formula]) -> Optional[tuple[str, Lin]]:
     return None
 
 
-def _solve_unit_equalities(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
-    """Eliminate every top-level unit equality of a simplified conjunction.
+def _solve_unit_equalities(f: Formula, solvable: Optional[Container[str]] = None
+                           ) -> tuple[Formula, list[tuple[str, Lin]]]:
+    """Eliminate every top-level unit equality of a simplified conjunction
+    that pins a variable in solvable (any variable when solvable is None).
 
     Each round takes the pivot `_unit_pivot` finds in the current
     conjuncts and puts its term for its variable in the conjuncts that
@@ -880,7 +885,7 @@ def _solve_unit_equalities(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
     were made.  A model of the remaining formula extends to one of f by
     evaluating the substitutions in reverse.
     """
-    if _unit_pivot(_conjuncts(f)) is None:
+    if _unit_pivot(_conjuncts(f), solvable) is None:
         return f, []
     alive: dict[tuple[int, ...], tuple[Formula, frozenset[str]]] = {}
     key_of: dict[Formula, tuple[int, ...]] = {}
@@ -913,7 +918,7 @@ def _solve_unit_equalities(f: Formula) -> tuple[Formula, list[tuple[str, Lin]]]:
     solved: list[tuple[str, Lin]] = []
     while pivots:
         entry = alive.get(pivots[0])
-        pivot = _unit_pivot((entry[0],)) if entry else None
+        pivot = _unit_pivot((entry[0],), solvable) if entry else None
         if pivot is None:
             heapq.heappop(pivots)
             continue

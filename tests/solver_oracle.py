@@ -17,6 +17,8 @@ the additions of the recursion over `t`, in the same order.
 once went through, and `reference_cooper_eliminate` is the elimination
 step that split every equality on the variable into two inequalities and
 branched over Cooper's period, unit-coefficient equalities aside.
+`reference_project_onto` eliminates one unit-pinned variable per round,
+the alphabetically first, by substituting into the whole formula.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import Optional
 
 from brts.presburger import (
     EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
-    _obviously_contradictory, _pick_var, _subst_var, conj, disj,
-    eliminate_quantifiers, evaluate, free_vars, nnf, simplify,
+    _disjunct_count, _obviously_contradictory, _pick_var, _subst_var, conj,
+    cooper_eliminate, disj, eliminate_quantifiers, evaluate, free_vars, nnf,
+    simplify,
 )
 
 
@@ -120,6 +123,26 @@ def reference_cooper_eliminate(var: str, f_qf: Formula) -> Formula:
                 value = a.lin.drop(var).scale(-1 if c == 1 else 1)
                 return simplify(_subst_var(f_qf, var, value))
     return simplify(disj(*(b.formula for b in _cooper_branches(var, f_qf))))
+
+
+def reference_project_onto(f: Formula, keep) -> Formula:
+    """Existentially quantify away every free variable not in keep: each
+    round eliminates the alphabetically first variable a top-level unit
+    equality pins, else the one of fewest disjuncts."""
+    keep_set = set(keep)
+    qf = eliminate_quantifiers(f)
+    while True:
+        remaining = sorted(free_vars(qf) - keep_set)
+        if not remaining:
+            return qf
+        pinned = [v for v in remaining
+                  if any(isinstance(a, EqZ) and abs(a.lin.coeff(v)) == 1
+                         for a in _conjuncts(qf))]
+        if pinned:
+            qf = reference_cooper_eliminate(pinned[0], qf)
+        else:
+            pick = min(remaining, key=lambda v: _disjunct_count(qf, v))
+            qf = cooper_eliminate(pick, qf)
 
 
 def reference_is_satisfiable(f: Formula) -> bool:

@@ -1,5 +1,6 @@
 import pytest
 
+from brts.cli import EXIT_OK, check_source, render_value
 from brts.interp import (
     BoolV, IndexedV, IntV, Interp, NULL, ObjV, RuntimeErr, Store, StrV, UNIT,
     default, run_program,
@@ -301,3 +302,132 @@ state Main {
     assert value == IntV(42)
     # the callee's 'this' binding did not leak over main's
     assert store.lookup("this").state == "Main"
+
+
+# ---------------------------------------------------------------------------
+# progress: checked calls instantiate their signatures
+# ---------------------------------------------------------------------------
+
+def counter_program(methods: str, calls: str, start: int | str = 2) -> str:
+    return f"""
+state Ctr {{ }}
+state Ops {{
+    type C : Pi(phi(n), Ctr);
+{methods}
+}}
+state Main {{
+    void main()[] {{
+        var (1, _) ops = new Ops();
+        var (1, C(phi({start}), Ctr)) c = new Ctr();
+{calls}
+        c;
+    }}
+}}
+"""
+
+
+def checked_mcall_coords(src: str, method: str) -> list:
+    """Check src, run it in both modes, and return the coordinates of the
+    `mcall` events of method, which must agree between the modes."""
+    code, checker, diags = check_source(src, "progress.brts")
+    assert code == EXIT_OK, [d.message for d in diags]
+    seen = []
+    for mode in ("concrete", "abstract"):
+        _, interp, _ = run_program(checker.program, mode=mode, trace=True)
+        seen.append([t.detail["coords"] for t in interp.trace
+                     if t.rule == "mcall" and t.detail["method"] == method])
+    assert seen[0] == seen[1]
+    return seen[0]
+
+
+DEC = "    void dec((1, C(phi(n + 1), Ctr)) >> (1, C(phi(n), Ctr)) c)[]"
+
+
+def test_signature_solves_an_offset_pre_term():
+    src = counter_program(DEC + ";", "        ops.dec(c);\n        ops.dec(c);")
+    assert checked_mcall_coords(src, "dec") == [[1], [0]]
+
+
+def test_method_body_reads_a_variable_of_an_offset_pre_term():
+    body = DEC + " {\n        c <- (1, C(phi(n), Ctr));\n    }"
+    src = counter_program(body, "        ops.dec(c);\n        ops.dec(c);")
+    assert checked_mcall_coords(src, "dec") == [[1], [0]]
+
+
+def test_signature_solves_a_scaled_pre_term():
+    half = "    void half((1, C(phi(2 * n), Ctr)) >> (1, C(phi(n), Ctr)) c)[];"
+    src = counter_program(half, "        ops.half(c);", start=4)
+    assert checked_mcall_coords(src, "half") == [[2]]
+
+
+def test_signature_variable_of_the_post_side_only_comes_from_a_model():
+    bump = "    void bump((1, C(phi(n), Ctr)) >> (1, C(phi(m, m > n), Ctr)) c)[];"
+    src = counter_program(bump, "        ops.bump(c);")
+    [[coord]] = checked_mcall_coords(src, "bump")
+    assert coord > 2
+
+
+def test_unconstrained_post_variable_and_declared_coordinate_take_a_model():
+    reset = "    void reset((1, C(phi(n), Ctr)) >> (1, C(phi(m), Ctr)) c)[];"
+    src = counter_program(reset, "        ops.reset(c);")
+    [[coord]] = checked_mcall_coords(src, "reset")
+    assert isinstance(coord, int)
+    # a declaration in main whose coordinate is any k > 3
+    src = counter_program(DEC + ";", "        ops.dec(c);", start="k, k > 3")
+    [[coord]] = checked_mcall_coords(src, "dec")
+    assert coord > 2
+
+
+def test_trusted_receiver_transition_reads_the_callee_variables():
+    src = """
+state Ctr {
+    type C : Pi(phi(n), Ctr);
+    void dec()[(1, C(phi(n + 1), Ctr)) >> (1, C(phi(n), Ctr)) this];
+}
+state Main {
+    void main()[] {
+        var (1, C(phi(3), Ctr)) c = new Ctr();
+        c.dec();
+        c.dec();
+        c;
+    }
+}
+"""
+    assert checked_mcall_coords(src, "dec") == [[2], [1]]
+
+
+def test_dependent_declaration_in_a_method_reads_the_call_variables():
+    methods = """\
+    void inc2((1, C(phi(n), Ctr)) >> (1, C(phi(n + 1), Ctr)) c)[] {
+        c <- (1, C(phi(n + 1), Ctr));
+    }
+    void make((1, C(phi(k), Ctr)) >> (1, C(phi(k), Ctr)) c)[] {
+        var (1, C(phi(k), Ctr)) d = new Ctr();
+        this.inc2(d);
+    }"""
+    src = counter_program(methods, "        ops.make(c);")
+    assert checked_mcall_coords(src, "inc2") == [[3]]
+
+
+def test_abstract_match_joins_a_plain_value_with_an_object():
+    src = """
+state S { }
+state A case of S { }
+state B case of S { }
+state Main {
+    void main()[] {
+        var (1, S) s = new S();
+        var (1, S) x = new A();
+        match (s) {
+            case A { x <- 5; }
+            case B { x <- new B(); }
+        };
+        x;
+    }
+}
+"""
+    code, checker, _ = check_source(src, "join.brts")
+    assert code == EXIT_OK
+    value, _, store = run_program(checker.program, mode="abstract")
+    assert render_value(value) == "(+ 5 | B)"
+    assert store.lookup("x") == value

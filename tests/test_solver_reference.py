@@ -34,7 +34,7 @@ from oracle import _with_vars, bounded_equiv
 from solver_oracle import (
     TAdd, TConst, TNeg, TScale, TVar, print_term, reference_cooper_eliminate,
     reference_is_satisfiable, reference_lin_key, reference_lin_of,
-    reference_unit_rounds, reference_witness,
+    reference_project_onto, reference_unit_rounds, reference_witness,
 )
 from test_presburger import _random_formula
 
@@ -384,3 +384,33 @@ def test_parse_term_matches_recursive_reference():
 def test_parse_term_takes_a_long_sum():
     text = "n" + "".join(" - n" if i % 2 else " + m" for i in range(2999))
     assert parse_term(text) == Lin({"n": -1498, "m": 1500})
+
+
+def test_project_onto_matches_one_pin_per_round():
+    # one `_solve_unit_equalities` pass per round may pick the pinned
+    # variables in another order than one pin per round; the formulas stay
+    # the same but for rare equivalent forms
+    identical = compared = 0
+    for i, f in enumerate(criterion_2_stream()[::2]):
+        names = sorted(free_vars(f))
+        if not names:
+            continue
+        got, want = project_onto(f, names[:1]), reference_project_onto(f, names[:1])
+        compared += 1
+        if got == want:
+            identical += 1
+        else:
+            assert bounded_equiv(got, want, 6), 2 * i
+            assert is_satisfiable(got) == is_satisfiable(want), 2 * i
+    assert compared > 1000 and identical >= compared - 2, (identical, compared)
+
+
+def test_unit_equalities_solve_only_the_allowed_variables():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    f = simplify(conj(eq(x, y + Const(1)), eq(y, z - Const(2)), le(z, x)))
+    rest, solved = _solve_unit_equalities(f, {"y"})
+    assert [v for v, _ in solved] == ["y"]
+    assert rest == simplify(conj(eq(x, z - Const(1)), le(z, x)))
+    # cooper_eliminate takes the same step for its one variable
+    assert cooper_eliminate("y", f) == rest
+    assert _solve_unit_equalities(f, set()) == (f, [])
