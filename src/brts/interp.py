@@ -231,9 +231,8 @@ class Interp:
     def _sigma(self) -> dict[str, int]:
         return self._sigma_stack[-1]
 
-    def _eval_term(self, lin: Lin, span: Span,
-                   sigma: Optional[dict[str, int]] = None) -> int:
-        sigma = self._sigma if sigma is None else sigma
+    def _eval_term(self, lin: Lin, span: Span) -> int:
+        sigma = self._sigma
         for v in lin.coeffs:
             if v not in sigma:
                 raise RuntimeErr("UnboundRuntimeName",
@@ -242,15 +241,13 @@ class Interp:
 
     @staticmethod
     def _complete(sigma: dict[str, int], variables: frozenset[str],
-                  facts: Formula) -> dict[str, int]:
+                  facts: Formula) -> Optional[dict[str, int]]:
         """sigma with a value for each of `variables` it lacks: a model of
         facts with sigma's values put in, and 0 for a variable the facts
-        leave free.  sigma itself when it lacks none, or facts have no model."""
-        if variables <= sigma.keys():
-            return sigma
+        leave free.  None when facts have no such model."""
         model = witness(substitute(facts, {x: Lin.constant(n) for x, n in sigma.items()}))
         if model is None:
-            return sigma
+            return None
         return {**dict.fromkeys(variables, 0), **sigma, **model}
 
     def _new_object(self, state: str, inst: Optional[InstanceType],
@@ -353,7 +350,7 @@ class Interp:
                 self._spend(stmt.span)
                 value, store = self.eval(store, stmt.init)
                 if isinstance(stmt.init, ast.NewObj) and stmt.declared is not None:
-                    value = self._adopt_declared(value, stmt.declared, stmt.span)
+                    value = self._adopt_declared(value, stmt.declared)
                 if stmt.name not in shadowed:
                     shadowed[stmt.name] = store.saved(stmt.name)
                 store.bind(stmt.name, value)
@@ -381,17 +378,23 @@ class Interp:
                              f"expected an object, got {value!r}", span)
         return value
 
-    def _adopt_declared(self, value: Value, declared: Type, span: Span) -> Value:
+    def _adopt_declared(self, value: Value, declared: Type) -> Value:
         """A dependent ascription on a plain new: the coordinates come from
         the declaration."""
         inst = declared.inner if isinstance(declared, PermPair) else declared
         if isinstance(inst, InstanceType) and inst.args and isinstance(value, ObjV) \
                 and value.coords is None:
-            # the checker reads the declared terms as some model of the
-            # constraint; the enclosing call's variables keep their values
+            # the checker opens a declaration's variables fresh, so any model
+            # of its constraint will do: the enclosing call's values where
+            # they satisfy it, else a model of the constraint alone
             variables = frozenset().union(*(a.coeffs.keys() for a in inst.args))
-            sigma = self._complete(self._sigma, variables, inst.constraint)
-            coords = tuple(self._eval_term(a, span, sigma) for a in inst.args)
+            sigma: dict[str, int] = {}
+            if variables:
+                outer = {x: n for x, n in self._sigma.items() if x in variables}
+                sigma = (self._complete(outer, variables, inst.constraint)
+                         or self._complete({}, variables, inst.constraint)
+                         or dict.fromkeys(variables, 0))
+            coords = tuple(a.evaluate(sigma) for a in inst.args)
             return replace(value, coords=coords, family=inst.family)
         return value
 
@@ -511,7 +514,7 @@ class Interp:
         if variables <= sigma.keys():
             return sigma
         facts = [eq(lin, Lin.constant(coord)) for lin, coord in equations]
-        return self._complete(sigma, variables, conj(constraint, *facts))
+        return self._complete(sigma, variables, conj(constraint, *facts)) or sigma
 
     def _apply_post(self, change: ChangeType, value: Value, span: Span) -> Value:
         if not isinstance(value, ObjV):

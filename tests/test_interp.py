@@ -409,6 +409,20 @@ def test_dependent_declaration_in_a_method_reads_the_call_variables():
     assert checked_mcall_coords(src, "inc2") == [[3]]
 
 
+def test_dependent_declaration_in_a_method_keeps_its_own_constraint():
+    # the checker opens the declaration's k fresh, so the call's k = 2,
+    # which breaks k > 5, must not become d's coordinate
+    methods = """\
+    void need((1, C(phi(n, n > 5), Ctr)) >> (1, C(phi(m, m > n), Ctr)) c)[];
+    void make((1, C(phi(k), Ctr)) >> (1, C(phi(k), Ctr)) c)[] {
+        var (1, C(phi(k, k > 5), Ctr)) d = new Ctr();
+        this.need(d);
+    }"""
+    src = counter_program(methods, "        ops.make(c);")
+    [[coord]] = checked_mcall_coords(src, "need")
+    assert coord > 6
+
+
 def test_abstract_match_joins_a_plain_value_with_an_object():
     src = """
 state S { }
