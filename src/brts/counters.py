@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional
 from .diagnostics import BrtsError
 from .parser import parse_formula
 from .presburger import (
-    And, Const, EqZ, Formula, Le, Lin, TrueF, Var,
+    And, Const, Dvd, EqZ, FalseF, Formula, Le, Lin, Not, NotDvd, Or, TrueF, Var,
     conj, disj, eliminate_quantifiers, eq, evaluate, free_vars, ge, substitute,
     TRUE,
 )
@@ -596,8 +596,9 @@ def reach_violation(machine: CounterMachine, bad: Formula,
     if extra:
         raise MachineError("UnknownCounter",
                            f"bad-state formula mentions unknown counters: {sorted(extra)}")
+    holds = compile_predicate(bad, machine.counters)
     init = (machine.initial, machine.init_valuation)
-    if _holds(bad, machine.counters, machine.init_valuation):
+    if holds(machine.init_valuation):
         return WitnessPath([], init)
     # each reached (state, valuation) maps to its BFS parent and the step into it
     parent: dict[tuple, Optional[tuple]] = {init: None}
@@ -609,7 +610,7 @@ def reach_violation(machine: CounterMachine, bad: Formula,
             if reached in parent:
                 continue
             parent[reached] = (key, (label, dst, nxt))
-            if _holds(bad, machine.counters, nxt):
+            if holds(nxt):
                 steps = []
                 link = parent[reached]
                 while link is not None:
@@ -621,8 +622,41 @@ def reach_violation(machine: CounterMachine, bad: Formula,
     return None
 
 
-def _holds(f: Formula, counters: tuple[str, ...], valuation: tuple[int, ...]) -> bool:
-    return evaluate(f, dict(zip(counters, valuation)))
+def compile_predicate(f: Formula, counters: tuple[str, ...]
+                      ) -> Callable[[tuple[int, ...]], bool]:
+    """Compile a quantifier-free formula over the counters into
+    `holds(valuation)`, which reads counter i at index i of a valuation and
+    agrees with `evaluate`.  The source names counter i `v<i>`, as the guard
+    compiler does.  A formula nested too deeply for Python to compile is
+    evaluated as it stands."""
+    names = {c: f"v{i}" for i, c in enumerate(counters)}
+    unpack = f"{', '.join(names.values())}, = valuation\n    " if counters else ""
+    namespace: dict = {}
+    try:
+        exec(f"def holds(valuation):\n    {unpack}return {_formula_source(f, names)}",
+             namespace)
+    except (SyntaxError, RecursionError, MemoryError):
+        return lambda valuation: evaluate(f, dict(zip(counters, valuation)))
+    return namespace["holds"]
+
+
+def _formula_source(f: Formula, names: dict[str, str]) -> str:
+    match f:
+        case TrueF():
+            return "True"
+        case FalseF():
+            return "False"
+        case Le() | EqZ():
+            return _atom_source(f, names)
+        case Dvd(d, lin) | NotDvd(d, lin):
+            test = "==" if isinstance(f, Dvd) else "!="
+            return f"({_lin_source(lin.coeffs, lin.const, names)}) % {d} {test} 0"
+        case And(parts) | Or(parts):
+            glue = " and " if isinstance(f, And) else " or "
+            return "(" + glue.join(_formula_source(p, names) for p in parts) + ")"
+        case Not(body):
+            return f"(not {_formula_source(body, names)})"
+    raise ValueError("cannot evaluate a quantified formula directly")
 
 
 def replay(machine: CounterMachine, path: WitnessPath, bound: int) -> bool:
@@ -646,7 +680,9 @@ def is_flat(machine: CounterMachine) -> bool:
     """Flat iff no control state lies on more than one elementary cycle,
     counting parallel transitions apart.  That holds iff every strongly
     connected component has at most as many internal transitions
-    (self-loops included) as states; one Tarjan pass finds the components."""
+    (self-loops included) as states; one Tarjan pass finds the components.
+
+    Library API, kept for tests: no command calls it."""
     succ: dict[str, list[str]] = {s: [] for s in machine.states}
     for t in machine.transitions:
         succ[t.src].append(t.dst)

@@ -314,8 +314,7 @@ class Interp:
                 store.bind(name, value)
                 self._emit("let", span, name=name)
                 value, store = self.eval(store, body)
-                if shadowed is not None:
-                    store.restore(name, shadowed)
+                store.restore(name, shadowed)
                 return value, store
             case ast.FieldAssign(target, name, value_e, body, span):
                 value, store = self.eval(store, value_e)
@@ -340,9 +339,11 @@ class Interp:
                 return self.eval_while(store, e)
         raise RuntimeErr("UnboundRuntimeName", f"cannot evaluate {e!r}")
 
-    def eval_block(self, store: Store, stmts: tuple[ast.Expr, ...]) -> tuple[Value, Store]:
-        """Each declaration binds over the rest of the block; when the block
-        ends, every binding a declaration shadowed is put back."""
+    def eval_block(self, store: Store, stmts: tuple[ast.Expr, ...],
+                   scoped: bool = True) -> tuple[Value, Store]:
+        """Each declaration binds over the rest of the block.  When a scoped
+        block ends, its declarations go out of scope: each name is unbound,
+        or bound again to what it shadowed."""
         shadowed: dict[str, Optional[Value]] = {}
         value: Value = UNIT
         for stmt in stmts:
@@ -358,8 +359,8 @@ class Interp:
                 value = UNIT
             else:
                 value, store = self.eval(store, stmt)
-        for name, old in shadowed.items():
-            if old is not None:
+        if scoped:
+            for name, old in shadowed.items():
                 store.restore(name, old)
         return value, store
 
@@ -639,7 +640,13 @@ def run_program(program: ast.Program, mode: str = "concrete",
     this = interp._new_object(main_state, None, store, NO_SPAN)
     store.bind("this", this)
     decl = st.states[main_state].methods["main"]
-    if decl.body is None:
+    body = decl.body
+    if body is None:
         return UNIT, interp, store
-    value, store = interp.eval(store, decl.body)
+    if isinstance(body, ast.Block):
+        # main's own declarations stay in the store the caller gets back
+        interp._spend(body.span)
+        value, store = interp.eval_block(store, body.stmts, scoped=False)
+    else:
+        value, store = interp.eval(store, body)
     return value, interp, store

@@ -938,6 +938,73 @@ def _solve_unit_equalities(f: Formula, solvable: Optional[Container[str]] = None
     return conj(*(alive[k][0] for k in sorted(alive))), solved
 
 
+def solved_form(f: Formula, solvable: Optional[Container[str]] = None
+                ) -> tuple[Formula, dict[str, Lin]]:
+    """`_solve_unit_equalities` with its substitutions as one idempotent
+    map, in the order they were made: no value mentions a solved variable,
+    and f is equivalent to the remaining formula with ``v == value`` for
+    each entry."""
+    rest, solved = _solve_unit_equalities(f, solvable)
+    values: dict[str, Lin] = {}
+    for v, t in reversed(solved):
+        values[v] = t.substitute(values)
+    return rest, {v: values[v] for v, _ in solved}
+
+
+def compact(f: Formula) -> Formula:
+    """An equivalent disjunction of conjunctions of atoms when it has fewer
+    atoms than f, else f.
+
+    Each conjunction is restated with its unit equalities solved: the
+    solutions first, then what is left of the rest, so one that folds to
+    false drops out and two that pin the same values merge.  Expanding a
+    conjunction of disjunctions multiplies, so the expansion stops as soon
+    as it has more conjunctions than f has atoms.
+    """
+    f = nnf(f)
+    budget = sum(1 for _ in _atoms_of(f))
+    expanded = _expand(f, budget)
+    if expanded is None:
+        return f
+    cubes = []
+    for cube in expanded:
+        if len(cube) == 1:
+            cubes.append(cube[0])
+            continue
+        rest, values = solved_form(conj(*cube))
+        if not isinstance(rest, FalseF):
+            cubes.append(conj(*(eq(Var(v), t) for v, t in values.items()), rest))
+    out = disj(*cubes)
+    return out if sum(1 for _ in _atoms_of(out)) < budget else f
+
+
+def _expand(f: Formula, budget: int) -> Optional[list[tuple[Formula, ...]]]:
+    """The conjunctions of atoms whose disjunction is f, a formula in
+    negation normal form, or None past budget of them."""
+    match f:
+        case Or(parts):
+            out: list[tuple[Formula, ...]] = []
+            for p in parts:
+                sub = _expand(p, budget)
+                if sub is None or len(out) + len(sub) > budget:
+                    return None
+                out.extend(sub)
+            return out
+        case And(parts):
+            out = [()]
+            for p in parts:
+                sub = _expand(p, budget)
+                if sub is None or len(out) * len(sub) > budget:
+                    return None
+                out = [c + d for c in out for d in sub]
+            return out
+        case TrueF():
+            return [()]
+        case FalseF():
+            return []
+    return [(f,)]
+
+
 def _obviously_contradictory(f: Formula) -> bool:
     """Cheap syntactic check: a conjunct and its exact complement."""
     les = {a.lin for a in _conjuncts(f) if isinstance(a, Le)}

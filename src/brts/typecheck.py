@@ -8,9 +8,19 @@ each subtype and equality query, frozen against its context, so the run can
 be replayed through the arithmetic reduction; recording is opt-in because
 freezing a type costs a projection per query.
 
+The environment is kept in solved form.  ``Ctx.subst`` maps each variable
+that a unit equality pinned to its value, and no value mentions a pinned
+variable; ``Ctx.residual`` is the rest.  An assumption is rewritten through
+``subst``, and only its own unit equalities are solved, so an obligation
+costs what its residual costs, not what the history does.  At a ``match``
+join each arm's part of the solved form is projected onto the variables
+that stay live before the arms are disjoined.  ``Ctx.phi`` is the history
+itself, kept for rendering only: obligations, diagnostics and the
+countermodel of a failing obligation are stated over it.
+
 The environment carries whether it is satisfiable (``Ctx.sat``: True, False
 or None for unknown), so the unreachable-code warning asks the solver only
-when an assumption may have changed the answer.
+when an assumption may have changed the residual.
 
 Logical variables written in annotations are scoped to their method
 signature and shared between the pre and post sides.  The checker renames
@@ -21,14 +31,15 @@ coordinate names.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional
 
 from .diagnostics import NO_SPAN, BrtsError, Diagnostic, Span
 from .presburger import (
-    Const, Formula, Lin, Var,
-    conj, disj, entails, eq, exists_many, formula_equal, free_vars, implies,
-    is_satisfiable, neg, ne, project_onto, render, simplify, substitute, tidy,
-    witness, FALSE, TRUE,
+    Const, Formula, Lin, Or, Var,
+    compact, conj, disj, entails, eq, exists_many, formula_equal, free_vars,
+    implies, is_satisfiable, neg, ne, project_onto, render, simplify,
+    solved_form, substitute, tidy, witness, FALSE, TRUE,
 )
 from . import syntax as ast
 from .record import record, replace
@@ -55,7 +66,16 @@ class Ctx:
         self.st = st
         self.checker = checker
         self.scopes: list[dict[str, Binding]] = [{}]
-        self.phi: Formula = TRUE
+        self.phi: Formula = TRUE           # the history, for rendering
+        # the solved form of phi, which every query reads: phi is equivalent
+        # to residual && (v == subst[v] for each v), up to variables a join
+        # projected away
+        self.subst: dict[str, Lin] = {}
+        self.residual: Formula = TRUE
+        # the variables of residual and of subst's values; a new equality
+        # solves for none of them, so subst stays idempotent and residual
+        # is never rewritten
+        self.pinned: set[str] = set()
         self.sat: Optional[bool] = True    # is phi satisfiable; None = unknown
         self.logical_vars: set[str] = set()
         # how the enclosing signature spelled its logical variables
@@ -65,6 +85,9 @@ class Ctx:
         c = Ctx(self.st, self.checker)
         c.scopes = [dict(s) for s in self.scopes]
         c.phi = self.phi
+        c.subst = dict(self.subst)
+        c.residual = self.residual
+        c.pinned = set(self.pinned)
         c.sat = self.sat
         c.logical_vars = set(self.logical_vars)
         c.annot_names = dict(self.annot_names)
@@ -73,6 +96,9 @@ class Ctx:
     def restore(self, other: "Ctx") -> None:
         self.scopes = other.scopes
         self.phi = other.phi
+        self.subst = other.subst
+        self.residual = other.residual
+        self.pinned = other.pinned
         self.sat = other.sat
         self.logical_vars = other.logical_vars
         self.annot_names = other.annot_names
@@ -102,13 +128,34 @@ class Ctx:
     def fresh(self, base: str) -> str:
         return self.checker.fresh(base)
 
+    def apply(self, f: Formula) -> Formula:
+        """f with the solved variables replaced by their values."""
+        mapping = {v: self.subst[v] for v in free_vars(f) if v in self.subst}
+        return substitute(f, mapping) if mapping else f
+
+    def mentions(self, names: Iterable[str]) -> bool:
+        """Whether the environment may constrain any of names."""
+        return any(v in self.subst or v in self.pinned for v in names)
+
     def assume(self, f: Formula, span: Span = NO_SPAN,
                keeps_sat: bool = False) -> None:
         """Conjoin f.  keeps_sat: the caller knows that a satisfiable phi
-        stays satisfiable with f; an unsatisfiable phi always stays so."""
-        phi = simplify(conj(self.phi, f))
-        if phi != self.phi:
-            self.phi = phi
+        stays satisfiable with f; an unsatisfiable phi always stays so.
+
+        The solved form takes f's unit equalities over variables it does
+        not mention yet into subst, and the rest of f into residual."""
+        f = simplify(f)
+        # phi is simplified already, so this is simplify(conj(phi, f))
+        self.phi = conj(self.phi, f)
+        g = self.apply(f)
+        rest, values = solved_form(g, free_vars(g) - self.pinned)
+        for v, t in values.items():
+            self.subst[v] = t
+            self.pinned |= t.variables()
+        residual = conj(self.residual, rest)
+        if residual != self.residual:
+            self.residual = residual
+            self.pinned |= free_vars(rest)
             if self.sat and not keeps_sat:
                 self.sat = None
         self.checker.note_context(self, span)
@@ -203,6 +250,8 @@ class Checker:
         self._counter = 0
         self._dead_warned: set[tuple[int, int]] = set()
         self._call_stack: list[tuple[str, str]] = []
+        # the signature variables of the calls whose arguments are being checked
+        self._pending_sig: list[set[str]] = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -221,7 +270,7 @@ class Checker:
         if span == NO_SPAN or key in self._dead_warned:
             return
         if ctx.sat is None:
-            ctx.sat = is_satisfiable(ctx.phi)
+            ctx.sat = is_satisfiable(ctx.residual)
         if not ctx.sat:
             self._dead_warned.add(key)
             self.warn("ContradictoryContext",
@@ -334,11 +383,10 @@ class Checker:
             self._immutable_change_check(change, p.span)
             pre = change.pre
             ctx.bind(p.name, Binding(pre, mutable=True))
-            pre_i, post_i = _instance_part(pre), _instance_part(change.post)
-            if pre_i is not None:
-                ctx.assume(pre_i.constraint, p.span)
-            if post_i is not None:
-                ctx.assume(post_i.constraint, p.span)
+            sides = [i for i in (_instance_part(pre), _instance_part(change.post))
+                     if i is not None]
+            if sides:
+                ctx.assume(conj(*(i.constraint for i in sides)), p.span)
             seeded.append((p.name, change, p.span))
 
         if ctx.lookup("this") is None:
@@ -570,11 +618,13 @@ class Checker:
     def solve(self, ctx: Ctx, rule: str, span: Span, goal: Formula,
               sig_vars: Iterable[str] = ()) -> bool:
         """One obligation: ctx.phi must entail goal (with the signature's
-        fresh variables existentially instantiated).  One search decides it:
-        it holds exactly when ctx.phi && ~goal has no model to report."""
+        fresh variables existentially instantiated).  The solved form decides
+        it: it holds exactly when residual && ~goal[subst] has no model.  A
+        failing obligation's countermodel is searched again in the whole
+        history, so it names the variables phi renders."""
         closed = exists_many(sorted(sig_vars), goal)
-        model = witness(conj(ctx.phi, neg(closed)))
-        verdict = model is None
+        verdict = witness(conj(ctx.residual, neg(ctx.apply(closed)))) is None
+        model = None if verdict else witness(conj(ctx.phi, neg(closed)))
         self.obligations.append(Obligation(span, rule, ctx.phi, closed, verdict, model))
         return verdict
 
@@ -800,20 +850,34 @@ class Checker:
         if not post_bindings:
             ctx.restore(entry)
             return VOID
-        self._join_arms(ctx, post_bindings)
+        self._join_arms(ctx, entry, post_bindings, arm_types)
 
         result = arm_types[0]
         if all(self.type_equal(ctx, t, result) for t in arm_types[1:]):
             return result
         return UnionType(tuple(arm_types))
 
-    def _join_arms(self, ctx: Ctx, arms: list[Ctx]) -> None:
+    def _join_arms(self, ctx: Ctx, entry: Ctx, arms: list[Ctx],
+                   results: list[Type]) -> None:
         """Merge the arm contexts into ctx: bindings that diverged get fresh
         coordinates pinned per arm inside that arm's environment, so the
         disjunction of the environments carries the exact case split.  The
-        join is satisfiable iff some arm is."""
+        join is satisfiable iff some arm is.
+
+        Every arm's subst extends the entry's, which the join keeps.  Each
+        arm's residual, its pins and what it added to subst are projected
+        onto the variables that stay live before the arms are disjoined:
+        those of the joined bindings and of the arms' results, the
+        signature's and the pending calls', and those of the kept subst
+        values.  An added variable that is not live occurs nowhere else in
+        its arm, so its equality projects to true."""
+        if len(arms) == 1:
+            ctx.restore(arms[0])
+            return
         phis = [a.phi for a in arms]
+        facts = [[a.residual] for a in arms]
         sats = [a.sat for a in arms]
+        ctx.logical_vars = set().union(*(a.logical_vars for a in arms))
         scopes: list[dict[str, Binding]] = []
         for level in range(min(len(a.scopes) for a in arms)):
             scope: dict[str, Binding] = {}
@@ -826,17 +890,32 @@ class Checker:
                 if all(t == types[0] for t in types[1:]):
                     scope[name] = Binding(types[0], mutable)
                     continue
-                joined = self._join_binding(ctx, name, types, phis, sats)
+                joined = self._join_binding(ctx, types, arms, phis, facts, sats)
                 scope[name] = Binding(joined, mutable)
             scopes.append(scope)
         ctx.scopes = scopes
-        ctx.phi = simplify(disj(*phis))
+        ctx.phi = disj(*phis)          # of simplified formulas, so simplified
+        kept = set().union(*(t.variables() for t in entry.subst.values()))
+        live = kept.union(ctx.annot_names.values(), *self._pending_sig)
+        for ty in [b.type for scope in scopes for b in scope.values()] + results:
+            live |= _type_vars(ty)
+        for a, f in zip(arms, facts):
+            f += [eq(Var(v), t) for v, t in islice(a.subst.items(), len(entry.subst), None)
+                  if v in live]
+        parts = [conj(*f) for f in facts]
+        joined = disj(*(solved_form(p, free_vars(p) - live)[0] for p in parts))
+        if isinstance(joined, Or):
+            joined = compact(joined)
+        # what every arm pins goes into subst
+        ctx.residual, values = solved_form(joined, free_vars(joined) - kept)
+        ctx.subst = {**entry.subst, **values}
+        ctx.pinned = kept.union(free_vars(ctx.residual),
+                                *(t.variables() for t in values.values()))
         ctx.sat = True if any(sats) else None if None in sats else False
-        ctx.logical_vars = set().union(*(a.logical_vars for a in arms))
-        ctx.logical_vars |= free_vars(ctx.phi)
 
-    def _join_binding(self, ctx: Ctx, name: str, types: list[Type],
-                      phis: list[Formula], sats: list[Optional[bool]]) -> Type:
+    def _join_binding(self, ctx: Ctx, types: list[Type], arms: list[Ctx],
+                      phis: list[Formula], facts: list[list[Formula]],
+                      sats: list[Optional[bool]]) -> Type:
         perms = [t.perm if isinstance(t, PermPair) else None for t in types]
         inners = [strip_perm(t) for t in types]
         insts = [t if isinstance(t, InstanceType) else None for t in inners]
@@ -852,9 +931,11 @@ class Checker:
             fresh = [ctx.fresh(c) for c in fam.coord_vars]
             ctx.logical_vars.update(fresh)
             for k, inst in enumerate(insts):
-                pins = conj(*(eq(Var(w), arg)
-                              for w, arg in zip(fresh, inst.args)))
-                phis[k] = simplify(conj(phis[k], pins, inst.constraint))
+                pins = simplify(conj(*(eq(Var(w), arg)
+                                       for w, arg in zip(fresh, inst.args)),
+                                     inst.constraint))
+                phis[k] = conj(phis[k], pins)
+                facts[k].append(arms[k].apply(pins))
                 # pinning fresh coordinates keeps an arm satisfiable; a
                 # constraint may not
                 if sats[k] and inst.constraint != TRUE:
@@ -1007,8 +1088,12 @@ class Checker:
                               self.open_change(ctx, change, ren, e.span)))
 
         sig_vars = set(ren.values())
-        for actual, pname, change in pairs:
-            self._check_argument(ctx, e, actual, pname, change, sig_vars)
+        self._pending_sig.append(sig_vars)
+        try:
+            for actual, pname, change in pairs:
+                self._check_argument(ctx, e, actual, pname, change, sig_vars)
+        finally:
+            self._pending_sig.pop()
 
         if self.strict_calls:
             self._strict_body_check(ctx, e, recv_state)
@@ -1055,8 +1140,7 @@ class Checker:
                                           sig_vars, span)
             # the obligation phi => exists sig. goal holds, so with the
             # signature's variables fresh a satisfiable phi && goal stays so
-            ctx.assume(goal, span,
-                       keeps_sat=sig_vars.isdisjoint(free_vars(ctx.phi)))
+            ctx.assume(goal, span, keeps_sat=not ctx.mentions(sig_vars))
             if self.audit:
                 fam = ctx.st.find_family(pre_i.family)
                 frozen_pre = InstanceType(pre_i.family,
@@ -1087,8 +1171,8 @@ class Checker:
         model = witness(conj(ctx.phi, neg(exists_many(sorted(sig_vars),
                                                       conj(bindings, pre_f)))))
         pre_ok = model is None
-        here = render(tidy(self.inst_formula(ctx, got_i)))
         if not pre_ok:
+            here = render(tidy(self.inst_formula(ctx, got_i)))
             required = render(tidy(self._side_formula(coords, pre_i)))
             grounded = self._ground_coords(coords, got_i, model)
             self.error(
@@ -1293,6 +1377,23 @@ def _state_of(ty: Type) -> Optional[str]:
     if isinstance(ty, StateRef):
         return ty.name
     return None
+
+
+def _type_vars(ty: Type) -> frozenset[str]:
+    """The logical variables a type mentions."""
+    match ty:
+        case PermPair(_, inner):
+            return _type_vars(inner)
+        case InstanceType():
+            out = free_vars(ty.constraint)
+            for a in ty.args:
+                out |= a.variables()
+            return out
+        case UnionType(ms):
+            return frozenset().union(*(_type_vars(m) for m in ms))
+        case ChangeType(pre, post):
+            return _type_vars(pre) | _type_vars(post)
+    return frozenset()
 
 
 def _with_instance(ty: Type, inst: InstanceType) -> Type:

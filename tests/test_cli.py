@@ -94,6 +94,23 @@ def test_run_unchecked_traces_to_2_3():
     assert calls[-1]["coords"] == [2, 3]
 
 
+def test_run_unchecked_let_name_goes_out_of_scope(tmp_path):
+    program = tmp_path / "scope.brts"
+    program.write_text("""state Main {
+    void main()[] {
+        var int x = 0;
+        let y = 1 in x;
+        y;
+    }
+}
+""")
+    out = brts("run", "--unchecked", str(program))
+    assert out.returncode == 4
+    assert f"{program}:5:9: runtime error:" in out.stderr
+    assert "[UnboundRuntimeName]" in out.stderr
+    assert out.stdout == ""
+
+
 def test_run_fuel_exhaustion_exits_four(tmp_path):
     looping = tmp_path / "loop.brts"
     looping.write_text("""

@@ -15,12 +15,13 @@ import pytest
 from brts.cli import initial_instance_of
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
-    Transition, annotations_of_program, brts_to_lts, check_simulation, is_flat,
-    load_machine, mca_to_lts, primed, reach_violation,
+    Transition, annotations_of_program, brts_to_lts, check_simulation,
+    compile_predicate, is_flat, load_machine, mca_to_lts, primed, reach_violation,
 )
 from brts.parser import parse_formula, parse_program
 from brts.presburger import (
-    TRUE, Const, Var, conj, disj, eliminate_quantifiers, eq, evaluate, le,
+    TRUE, Const, Dvd, NotDvd, Var, conj, disj, eliminate_quantifiers, eq, evaluate,
+    le, neg,
 )
 from brts.syntax import InstanceType, state_table
 
@@ -344,6 +345,53 @@ def test_reach_violation_matches_reference_on_random_machines():
                 hits += 1
                 longer += len(want) > 1
     assert min(hits, misses, longer) >= 40, (hits, misses, longer)
+
+
+def random_qf(rng: random.Random, counters: tuple[str, ...], depth: int):
+    """A quantifier-free formula over the counters with divisibility atoms,
+    disjunctions and negations."""
+    if depth == 0 or rng.random() < 0.25:
+        lin = Const(rng.randint(-3, 3))
+        for c in rng.sample(counters, rng.randint(1, len(counters))):
+            lin = lin + rng.choice([-3, -2, -1, 1, 2, 3]) * Var(c)
+        kind = rng.choice(["le", "eq", "dvd", "notdvd"])
+        if kind == "le":
+            return le(lin, Const(0))
+        if kind == "eq":
+            return eq(lin, Const(0))
+        return (Dvd if kind == "dvd" else NotDvd)(rng.randint(2, 4), lin)
+    kind = rng.choice(["and", "or", "not"])
+    if kind == "not":
+        return neg(random_qf(rng, counters, depth - 1))
+    parts = [random_qf(rng, counters, depth - 1) for _ in range(rng.randint(2, 3))]
+    return conj(*parts) if kind == "and" else disj(*parts)
+
+
+def test_compiled_predicate_agrees_with_evaluate():
+    rng = random.Random(1702)
+    machines = [load_machine(path) for path in sorted(CORPUS.glob("*/*.mca"))]
+    bound = 3
+    for machine in machines:
+        counters = machine.counters
+        formulas = [random_qf(rng, counters, 3) for _ in range(12)]
+        # the shapes `brts reach` passes on: quantifiers eliminated
+        formulas += [eliminate_quantifiers(parse_formula(random_bad(rng, counters)))
+                     for _ in range(12)]
+        for f in formulas:
+            holds = compile_predicate(f, counters)
+            for valuation in itertools.product(range(-bound, bound + 1),
+                                               repeat=len(counters)):
+                assert holds(valuation) == evaluate(f, dict(zip(counters, valuation))), f
+
+
+def test_compiled_predicate_evaluates_a_formula_too_deep_to_compile():
+    f = le(Var("a"), Const(0))
+    # 240 nested parentheses: past what Python compiles
+    for i in range(120):
+        f = disj(conj(f, le(Var("b"), Const(i))), eq(Var("a"), Const(-i)))
+    holds = compile_predicate(f, ("a", "b"))
+    for valuation in itertools.product(range(-4, 5), repeat=2):
+        assert holds(valuation) == evaluate(f, dict(zip(("a", "b"), valuation)))
 
 
 @pytest.mark.parametrize("bound", [3, 6, 9])

@@ -256,6 +256,48 @@ state Main {
     assert store.lookup("y") == IntV(1)
 
 
+@pytest.mark.parametrize("mode", ["concrete", "abstract"])
+def test_arm_declaration_goes_out_of_scope_with_its_block(mode):
+    src = """
+state S { }
+state Main {
+    void main()[] {
+        var (1, S) s = new S();
+        var int z = 1;
+        match (s) { case S { var int z = 2; var int w = 3; z; } };
+        z;
+    }
+}
+"""
+    value, _, store = run_src(src, mode=mode)
+    assert value == IntV(1)
+    assert store.lookup("z") == IntV(1)
+    assert store.lookup("w") is None
+    with pytest.raises(RuntimeErr) as err:
+        run_src(src.replace("        z;\n    }", "        w;\n    }"), mode=mode)
+    assert err.value.kind == "UnboundRuntimeName"
+
+
+def test_let_name_goes_out_of_scope():
+    src = """
+state Main {
+    void main()[] {
+        var int x = 0;
+        let y = 1 in x;
+        let x = 2 in x;
+        x;
+    }
+}
+"""
+    value, _, store = run_src(src)
+    assert value == IntV(0)
+    assert store.lookup("y") is None
+    with pytest.raises(RuntimeErr) as err:
+        run_src(src.replace("        x;\n    }", "        y;\n    }"))
+    assert err.value.kind == "UnboundRuntimeName"
+    assert (err.value.span.line, err.value.span.col) == (7, 9)
+
+
 def test_update_preserves_counters_on_plain_retag():
     src = BUFFER_STATES + """
 state Main {

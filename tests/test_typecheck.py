@@ -124,6 +124,16 @@ state Main {
     assert formula_equal(proj, parse_formula("p == 2 && c == 0 && p >= c"))
 
 
+def test_postcondition_failure_projects_nothing(monkeypatch):
+    # only a failing precondition shows the argument's projection, which
+    # costs a projection of the whole history
+    def refuse(*args):
+        raise AssertionError("inst_formula called")
+    monkeypatch.setattr(Checker, "inst_formula", refuse)
+    errs = errors_of(check_source(BUFFER_STATES + VIOLATING_MAIN))
+    assert [e.kind for e in errs] == ["PostconditionUnsatisfiable"]
+
+
 def test_produce_on_closed_buffer_rejected():
     src = BUFFER_STATES + """
 state Main {
