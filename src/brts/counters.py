@@ -635,7 +635,7 @@ def compile_predicate(f: Formula, counters: tuple[str, ...]
     try:
         exec(f"def holds(valuation):\n    {unpack}return {_formula_source(f, names)}",
              namespace)
-    except (SyntaxError, RecursionError, MemoryError):
+    except (SyntaxError, RecursionError):
         return lambda valuation: evaluate(f, dict(zip(counters, valuation)))
     return namespace["holds"]
 

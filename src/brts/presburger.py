@@ -961,9 +961,9 @@ def compact(f: Formula) -> Formula:
     conjunction of disjunctions multiplies, so the expansion stops as soon
     as it has more conjunctions than f has atoms.
     """
-    f = nnf(f)
-    budget = sum(1 for _ in _atoms_of(f))
-    expanded = _expand(f, budget)
+    g = nnf(f)
+    budget = sum(1 for _ in _atoms_of(g))
+    expanded = _expand(g, budget)
     if expanded is None:
         return f
     cubes = []
@@ -975,7 +975,7 @@ def compact(f: Formula) -> Formula:
         if not isinstance(rest, FalseF):
             cubes.append(conj(*(eq(Var(v), t) for v, t in values.items()), rest))
     out = disj(*cubes)
-    return out if sum(1 for _ in _atoms_of(out)) < budget else f
+    return out if sum(1 for _ in _atoms_of(out)) < sum(1 for _ in _atoms_of(f)) else f
 
 
 def _expand(f: Formula, budget: int) -> Optional[list[tuple[Formula, ...]]]:

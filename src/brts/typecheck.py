@@ -13,10 +13,12 @@ that a unit equality pinned to its value, and no value mentions a pinned
 variable; ``Ctx.residual`` is the rest.  An assumption is rewritten through
 ``subst``, and only its own unit equalities are solved, so an obligation
 costs what its residual costs, not what the history does.  At a ``match``
-join each arm's part of the solved form is projected onto the variables
-that stay live before the arms are disjoined.  ``Ctx.phi`` is the history
-itself, kept for rendering only: obligations, diagnostics and the
-countermodel of a failing obligation are stated over it.
+join each arm drops the variables that no longer matter and that a unit
+equality pins, and the disjuncts of the arms that pin the same values
+merge, so a run of joins leaves a residual that grows with the number of
+cases, not with the history.  ``Ctx.phi`` is the history itself, kept for
+rendering only: obligations, diagnostics and the countermodel of a failing
+obligation are stated over it.
 
 The environment carries whether it is satisfiable (``Ctx.sat``: True, False
 or None for unknown), so the unreachable-code warning asks the solver only
@@ -68,13 +70,13 @@ class Ctx:
         self.scopes: list[dict[str, Binding]] = [{}]
         self.phi: Formula = TRUE           # the history, for rendering
         # the solved form of phi, which every query reads: phi is equivalent
-        # to residual && (v == subst[v] for each v), up to variables a join
-        # projected away
+        # to residual && (v == subst[v] for each v), up to the dead variables
+        # a join eliminated
         self.subst: dict[str, Lin] = {}
         self.residual: Formula = TRUE
         # the variables of residual and of subst's values; a new equality
-        # solves for none of them, so subst stays idempotent and residual
-        # is never rewritten
+        # solves for none of them, so subst stays idempotent and assume
+        # never rewrites residual
         self.pinned: set[str] = set()
         self.sat: Optional[bool] = True    # is phi satisfiable; None = unknown
         self.logical_vars: set[str] = set()
@@ -250,8 +252,6 @@ class Checker:
         self._counter = 0
         self._dead_warned: set[tuple[int, int]] = set()
         self._call_stack: list[tuple[str, str]] = []
-        # the signature variables of the calls whose arguments are being checked
-        self._pending_sig: list[set[str]] = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -865,12 +865,15 @@ class Checker:
         join is satisfiable iff some arm is.
 
         Every arm's subst extends the entry's, which the join keeps.  Each
-        arm's residual, its pins and what it added to subst are projected
-        onto the variables that stay live before the arms are disjoined:
-        those of the joined bindings and of the arms' results, the
-        signature's and the pending calls', and those of the kept subst
-        values.  An added variable that is not live occurs nowhere else in
-        its arm, so its equality projects to true."""
+        arm contributes its residual, its pins and what it added to subst,
+        less the variables that no longer matter: a unit equality
+        eliminates such a variable by substitution before the arms are
+        disjoined, and one that none pins stays, read existentially, since
+        eliminating it Cooper's way at every join can cost more than the
+        queries it would save.  The variables that matter are those of the
+        joined bindings, of the arms' results, of the signature and of the
+        kept subst values; a match is a statement, so no call has arguments
+        pending here."""
         if len(arms) == 1:
             ctx.restore(arms[0])
             return
@@ -896,18 +899,18 @@ class Checker:
         ctx.scopes = scopes
         ctx.phi = disj(*phis)          # of simplified formulas, so simplified
         kept = set().union(*(t.variables() for t in entry.subst.values()))
-        live = kept.union(ctx.annot_names.values(), *self._pending_sig)
+        live = kept.union(ctx.annot_names.values())
         for ty in [b.type for scope in scopes for b in scope.values()] + results:
             live |= _type_vars(ty)
         for a, f in zip(arms, facts):
-            f += [eq(Var(v), t) for v, t in islice(a.subst.items(), len(entry.subst), None)
-                  if v in live]
+            added = islice(a.subst.items(), len(entry.subst), None)
+            f += [eq(Var(v), t) for v, t in added if v in live]
         parts = [conj(*f) for f in facts]
-        joined = disj(*(solved_form(p, free_vars(p) - live)[0] for p in parts))
-        if isinstance(joined, Or):
-            joined = compact(joined)
+        merged = disj(*(solved_form(p, free_vars(p) - live)[0] for p in parts))
+        if isinstance(merged, Or):
+            merged = compact(merged)
         # what every arm pins goes into subst
-        ctx.residual, values = solved_form(joined, free_vars(joined) - kept)
+        ctx.residual, values = solved_form(merged, free_vars(merged) - kept)
         ctx.subst = {**entry.subst, **values}
         ctx.pinned = kept.union(free_vars(ctx.residual),
                                 *(t.variables() for t in values.values()))
@@ -1088,12 +1091,8 @@ class Checker:
                               self.open_change(ctx, change, ren, e.span)))
 
         sig_vars = set(ren.values())
-        self._pending_sig.append(sig_vars)
-        try:
-            for actual, pname, change in pairs:
-                self._check_argument(ctx, e, actual, pname, change, sig_vars)
-        finally:
-            self._pending_sig.pop()
+        for actual, pname, change in pairs:
+            self._check_argument(ctx, e, actual, pname, change, sig_vars)
 
         if self.strict_calls:
             self._strict_body_check(ctx, e, recv_state)

@@ -1,7 +1,7 @@
 """The checker's solved-form environment against the whole history.
 
 The checker decides every obligation, and asks whether code is reachable,
-on `Ctx.residual` with `Ctx.subst` applied, projected at each join.  These
+on `Ctx.residual` with `Ctx.subst` applied, which each join prunes.  These
 tests ask the same questions of the history `Ctx.phi`, which the checker
 keeps for rendering, and compare the answers.  Growth tests pin what the
 solved form buys: a straight line of calls, or a run of `match` joins,
@@ -231,8 +231,8 @@ def test_compact_is_equivalent_and_no_larger():
             f = conj(f, disj(rng.choice(extra), _random_formula(rng, 1)))
         got = compact(f)
         assert bounded_equiv(f, got, 4), (f, got)
-        assert _atoms(got) <= _atoms(presburger.nnf(f))
-        changed += got != presburger.nnf(f)
+        assert _atoms(got) <= _atoms(f)
+        changed += got != f
     assert changed >= 100, changed
 
 
