@@ -1084,7 +1084,7 @@ def witness(f: Formula) -> Optional[dict[str, int]]:
     model = _witness_qf(simplify(qf))
     if model is None:
         return None
-    for v in free_vars(qf):
+    for v in sorted(free_vars(qf)):
         model.setdefault(v, 0)
     assert evaluate(qf, model)
     return model
@@ -1092,7 +1092,7 @@ def witness(f: Formula) -> Optional[dict[str, int]]:
 
 def _evaluate_filling(lin: Lin, model: dict[str, int]) -> int:
     """lin's value under model, once its variables model lacks are set to 0."""
-    for w in lin.variables():
+    for w in sorted(lin.coeffs):
         model.setdefault(w, 0)
     return lin.evaluate(model)
 
@@ -1142,7 +1142,7 @@ def _witness_qf(f: Formula) -> Optional[dict[str, int]]:
         m = _witness_qf(b.formula)
         if m is None:
             continue
-        for w in free_vars(b.formula):
+        for w in sorted(free_vars(b.formula)):
             m.setdefault(w, 0)
         if b.exact is not None:
             scaled = _evaluate_filling(b.exact, m)

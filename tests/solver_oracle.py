@@ -6,7 +6,9 @@ equality per recursion: substitute it with `_subst_var`, simplify, recurse,
 and on the way back evaluate the solved variable from the model below.
 Everything else (Cooper branches, disjunction splitting, the contradiction
 check) is the module's own code.  Slow on long equality chains and
-obviously faithful, which is what an oracle is for.
+obviously faithful, which is what an oracle is for.  A model sets the
+variables the search leaves free to 0 in sorted order, as `witness` does,
+so models compare key for key.
 
 `Term` is the tree the parser once built for an arithmetic term, one node
 per operator, and `reference_lin_of` flattens it by plain recursion.  The
@@ -154,7 +156,7 @@ def reference_witness(f: Formula) -> Optional[dict[str, int]]:
     model = reference_witness_qf(simplify(qf))
     if model is None:
         return None
-    for v in free_vars(qf):
+    for v in sorted(free_vars(qf)):
         model.setdefault(v, 0)
     assert evaluate(qf, model)
     return model
@@ -235,7 +237,7 @@ def reference_witness_qf(f: Formula) -> Optional[dict[str, int]]:
         m = reference_witness_qf(simplify(_subst_var(f, v, value)))
         if m is None:
             return None
-        for w in value.variables():
+        for w in sorted(value.variables()):
             m.setdefault(w, 0)
         m[v] = value.evaluate(m)
         return m
@@ -256,16 +258,16 @@ def reference_witness_qf(f: Formula) -> Optional[dict[str, int]]:
         m = reference_witness_qf(simplify(b.formula))
         if m is None:
             continue
-        for w in free_vars(b.formula):
+        for w in sorted(free_vars(b.formula)):
             m.setdefault(w, 0)
         if b.exact is not None:
-            for w in b.exact.variables():
+            for w in sorted(b.exact.variables()):
                 m.setdefault(w, 0)
             scaled = b.exact.evaluate(m)
         else:
             vals = []
             for bound in b.bounds:
-                for w in bound.variables():
+                for w in sorted(bound.variables()):
                     m.setdefault(w, 0)
                 vals.append(bound.evaluate(m))
             if vals:

@@ -68,6 +68,38 @@ def test_check_emit_obligations_jsonl():
     assert any(l["verdict"] == "invalid" for l in lines)
 
 
+def test_countermodels_do_not_depend_on_the_hash_seed(tmp_path):
+    # a loop whose entry fails after nested matches, and a disjunction whose
+    # model leaves five variables to fill: both once printed their unset
+    # variables in set order, which PYTHONHASHSEED decides
+    head = (CORPUS / "prodcons/good.brts").read_text().split("state Main")[0]
+    program = tmp_path / "loop.brts"
+    program.write_text(head + "state Main {\n    void main()[] {\n"
+                       "        var (1, _) pc = new ProducerConsumer();\n"
+                       "        var (1, SB(phi(0, 0), ClosedBuffer)) buffer = new ClosedBuffer();\n"
+                       "        pc.open(buffer);\n"
+                       "        match (buffer) {\n"
+                       "            case OpenBuffer { pc.produce(buffer); match (buffer) {"
+                       " case OpenBuffer { pc.produce(buffer); } default { } }; }\n"
+                       "            default { }\n"
+                       "        };\n"
+                       "        while [exists a. p >= c + 2] (true) { };\n"
+                       "    }\n}\n")
+    script = ("import sys\nfrom brts import cli\nfrom brts.parser import parse_formula\n"
+              "from brts.presburger import witness\n"
+              "print(witness(parse_formula('x == 1 || a >= 0 && b >= 0 && c >= 0"
+              " && d >= 0 && e >= 0')))\n"
+              "cli.main(['check', '--emit-obligations', sys.argv[1]])\n")
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", script, str(program)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0 and '"countermodel"' in out.stdout, out.stderr[-300:]
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

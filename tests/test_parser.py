@@ -11,6 +11,8 @@ from brts.presburger import (
 from brts.printer import print_program, strip_spans
 from brts import syntax as ast
 
+from parser_oracle import spanned
+
 PRODCONS_SNIPPET = """
 state Buffer { }
 state OpenBuffer case of Buffer { }
@@ -41,12 +43,12 @@ state Main {
 
 def test_tokenize_state_header():
     toks = tokenize("state Buffer {")
-    kinds = [(t.kind, t.lexeme) for t in toks[:3]]
+    kinds = [(kind, lexeme) for kind, lexeme, _, _ in toks[:3]]
     assert kinds == [("keyword", "state"), ("ident", "Buffer"), ("symbol", "{")]
 
 
 def test_tokenize_empty():
-    assert [t.kind for t in tokenize("")] == ["eof"]
+    assert tokenize("") == [("eof", "", 0, 0)]
 
 
 def test_tokenize_lex_error_offset_zero():
@@ -57,14 +59,14 @@ def test_tokenize_lex_error_offset_zero():
 
 
 def test_tokenize_spans_line_col():
-    toks = tokenize("state A {\n  var int x;\n}")
+    toks = spanned("state A {\n  var int x;\n}")
     var_tok = next(t for t in toks if t.lexeme == "var")
     assert (var_tok.span.line, var_tok.span.col) == (2, 3)
 
 
 def test_tokenize_comments_skipped():
     toks = tokenize("// hello\nstate")
-    assert toks[0].lexeme == "state"
+    assert toks[0][:2] == ("keyword", "state")
 
 
 # ---------------------------------------------------------------------------

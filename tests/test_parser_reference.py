@@ -1,6 +1,9 @@
-"""The one-pattern lexer against the character-by-character tokenizer it
-replaced (tests/parser_oracle.py): the same tokens, spans and lex errors."""
+"""The front end against the one it replaced (tests/parser_oracle.py): the
+same tokens, spans and lex errors as the character-by-character scanner,
+and the same ASTs, spans and errors as the parser over its tokens."""
 
+import functools
+import importlib.util
 import random
 import re
 import sys
@@ -8,14 +11,26 @@ from pathlib import Path
 
 import pytest
 
+from brts import parser
 from brts.diagnostics import BrtsError, Span
 from brts.gen import synthesize_program
-from brts.parser import tokenize
+from brts.parser import MAX_NESTING, tokenize
 from brts.printer import print_program
 
 import parser_oracle
+from parser_oracle import spanned
 
-CORPUS = Path(__file__).parent.parent / "corpus"
+ROOT = Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def _perfbench_inputs():
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "inputs.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def lexed(tokenizer, source: str):
@@ -26,8 +41,38 @@ def lexed(tokenizer, source: str):
 
 
 def assert_same(source: str) -> None:
-    assert lexed(tokenize, source) == lexed(parser_oracle.tokenize, source), repr(source)
+    assert lexed(spanned, source) == lexed(parser_oracle.tokenize, source), repr(source)
 
+
+def parsed(parse, source: str):
+    """What `parse` makes of `source`: the tree and its repr (a `Lin` prints
+    its terms in the order the parser built them), or the error."""
+    try:
+        tree = parse(source)
+    except BrtsError as err:
+        return ("error", type(err).__name__, err.kind, str(err), err.span)
+    return ("ok", tree, repr(tree))
+
+
+def assert_same_parse(source: str, *names: str) -> None:
+    for name in names or ("parse_program", "parse_formula", "parse_term"):
+        got = parsed(getattr(parser, name), source)
+        assert got == parsed(getattr(parser_oracle, name), source), (name, source[:200])
+
+
+def formula_pieces(source: str) -> list[str]:
+    """Stretches of `source` that may be a term or a formula: the text
+    between separators, and after a machine file's `:` or directive."""
+    pieces = re.split(r"[,;{}\[\]]|\bphi\(|\bPi\(|^\w+ |:", source, flags=re.M)
+    return [p.strip() for p in pieces if p.strip()]
+
+
+SOURCES = sorted(CORPUS.glob("*/*.brts")) + sorted(CORPUS.glob("*/*.mca"))
+
+
+# ---------------------------------------------------------------------------
+# tokens
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.brts")),
                          ids=lambda p: f"{p.parent.name}/{p.stem}")
@@ -35,20 +80,26 @@ def test_corpus_tokens_match_oracle(path):
     assert_same(path.read_text())
 
 
-def test_generated_programs_tokens_match_oracle():
+@functools.cache
+def generated_sources() -> list[str]:
     rng = random.Random(31337)
-    for i in range(1000):
-        program, _ = synthesize_program(rng, i)
-        assert_same(print_program(program))
+    return [print_program(synthesize_program(rng, i)[0]) for i in range(1000)]
+
+
+def test_generated_programs_tokens_match_oracle():
+    for source in generated_sources():
+        assert_same(source)
+
+
+# every class the lexer tells apart, plus characters that sit between
+# classes: numeric non-digits, non-ASCII letters and digits, escapes
+SOUP = list("aZnt_'x09 \t\r\n\"\\/=<>-+*&|!~{}()[];,.:@#") + ["²", "é", "٣", "Ⅻ", "//"]
 
 
 def test_random_character_soup_matches_oracle():
-    # every class the lexer tells apart, plus characters that sit between
-    # classes: numeric non-digits, non-ASCII letters and digits, escapes
-    alphabet = list("aZnt_'x09 \t\r\n\"\\/=<>-+*&|!~{}()[];,.:@#") + ["²", "é", "٣", "Ⅻ", "//"]
     rng = random.Random(2024)
     for _ in range(3000):
-        assert_same("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+        assert_same("".join(rng.choice(SOUP) for _ in range(rng.randint(0, 12))))
 
 
 @pytest.mark.parametrize("source, message, span", [
@@ -66,17 +117,38 @@ def test_lex_error_spans(source, message, span):
 
 def test_identifier_edges():
     toks = tokenize("_x x' _ __ x_1' x²")
-    assert [(t.kind, t.lexeme) for t in toks] == [
+    assert [(kind, lexeme) for kind, lexeme, _, _ in toks] == [
         ("ident", "_x"), ("ident", "x'"), ("symbol", "_"), ("ident", "__"),
         ("ident", "x_1'"), ("ident", "x²"), ("eof", "")]
     assert_same("_x x' _ __ x_1' x²")
 
 
+def test_tokens_are_offsets():
+    assert tokenize('x  "a\\nb" // c') == [
+        ("ident", "x", 0, 1), ("string", "a\nb", 3, 9), ("eof", "", 10, 10)]
+
+
 def test_string_escapes_and_end_of_input_after_comment():
-    toks = tokenize('"a\\"b\\n\\t\\q" // done')
+    toks = spanned('"a\\"b\\n\\t\\q" // done')
     assert toks[0] == ("string", 'a"b\n\tq', Span(1, 1, 1, 12))
     assert toks[1] == ("eof", "", Span(1, 14))
     assert_same('"a\\"b\\n\\t\\q" // done')
+
+
+@pytest.mark.parametrize("source, span", [
+    ("x // a // b", Span(1, 3)),
+    ("// a // b", Span(1, 1)),
+    ("x // a\n", Span(2, 1)),
+    ("x // a\n// b // c", Span(2, 1)),
+    ("x // a\n  ", Span(2, 3)),
+    ('"//" // c', Span(1, 6)),
+    ('x "a\\\n"', Span(2, 2)),
+    ('x "a\\\n" // c', Span(2, 3)),
+    ("", Span(1, 1)),
+])
+def test_eof_span(source, span):
+    assert spanned(source)[-1] == ("eof", "", span)
+    assert_same(source)
 
 
 def test_character_classes_agree_with_str_methods():
@@ -88,13 +160,113 @@ def test_character_classes_agree_with_str_methods():
 
 def test_escaped_newline_in_a_string_moves_later_tokens_down():
     source = 'state Main {\n    void main()[] {\n        var s = "a\\\n";\n        y;\n    }\n}\n'
-    y = next(t for t in tokenize(source) if t.lexeme == "y")
+    y = next(t for t in spanned(source) if t.lexeme == "y")
     assert y.span == Span(5, 9, 5, 9)
     assert_same(source)
 
 
 def test_escaped_newline_in_a_string_ends_its_span_at_the_closing_quote():
     source = 'state Main {\n  void main()[] {\n    var s = "a\\\nbc";\n    y;\n  }\n}\n'
-    s = next(t for t in tokenize(source) if t.kind == "string")
+    s = next(t for t in spanned(source) if t.kind == "string")
     assert (s.lexeme, s.span) == ("a\nbc", Span(3, 13, 4, 3))
     assert_same(source)
+
+
+# ---------------------------------------------------------------------------
+# ASTs, spans and parse errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_corpus_parses_match_oracle(path):
+    source = path.read_text()
+    assert_same_parse(source)
+    for piece in formula_pieces(source):
+        assert_same_parse(piece, "parse_formula", "parse_term")
+
+
+def test_generated_programs_parse_like_oracle():
+    for source in generated_sources():
+        assert_same_parse(source, "parse_program")
+
+
+@pytest.mark.parametrize("seed", [7, 11, 301])
+def test_benchmark_programs_parse_like_oracle(seed):
+    inputs = _perfbench_inputs()
+    accepted, twins = inputs.random_programs(seed)
+    programs = accepted + twins + (inputs.series() if seed == 7 else [])
+    for p in programs:
+        assert_same_parse(p.source, "parse_program")
+        for piece in formula_pieces(p.source):
+            assert_same_parse(piece, "parse_formula", "parse_term")
+
+
+def test_random_character_soup_parses_like_oracle():
+    rng = random.Random(2025)
+    alphabet = SOUP + ["phi(", "state", "S", "{", "}", ">=", "exists", "true", "1", "x"]
+    for _ in range(3000):
+        assert_same_parse("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14))))
+
+
+def test_spliced_program_fragments_parse_like_oracle():
+    # corpus lines spliced at random: mostly near-misses of real programs
+    lines = [l for p in sorted(CORPUS.glob("*/*.brts")) for l in p.read_text().splitlines()]
+    rng = random.Random(99)
+    for _ in range(600):
+        assert_same_parse("\n".join(rng.choice(lines) for _ in range(rng.randint(1, 8))))
+
+
+MAIN = ("state A { }\nstate S { type F : Pi(phi(n), A); }\nstate Main {\n"
+        "    void main()[] {\n        var (1, _) a = new A();\n        {};\n    }\n}\n")
+
+# Each nesting form: the source that nests it n deep, the parse functions to
+# run on it, and the frames one level holds.
+NESTINGS = {
+    "negations": (lambda n: "- " * n + "0", "term", 1),
+    "scales": (lambda n: "1 * " * n + "0", "term", 1),
+    "term-parens": (lambda n: "(" * n + "0" + ")" * n, "term", 2),
+    "term-parens-left-of-comparison": (lambda n: "(" * n + "0" + ")" * n + " >= 0", "formula", 2),
+    "term-parens-right-of-comparison": (lambda n: "0 >= " + "(" * n + "0" + ")" * n, "formula", 2),
+    "formula-parens": (lambda n: "(" * n + "0 >= 0" + ")" * n, "formula", 4),
+    "nots": (lambda n: "~ " * n + "0 >= 0", "formula", 1),
+    "implications": (lambda n: "0 >= 0 => " * n + "0 >= 0", "formula", 1),
+    "exists": (lambda n: "exists a. " * n + "a >= 0", "formula", 4),
+    "fields": (lambda n: "a" + ".k" * n, "stmt", 2),
+    "methods": (lambda n: "a" + ".f(1)" * n, "stmt", 2),
+    "arguments": (lambda n: "a.f(" * n + "1" + ")" * n, "stmt", 3),
+    "constructors": (lambda n: "new A(" * n + "1" + ")" * n, "stmt", 3),
+    "lets": (lambda n: "let x = 1 in " * n + "x", "stmt", 3),
+    "cases": (lambda n: "case a { " * n + "1" + " }" * n, "stmt", 4),
+    "matches": (lambda n: "match (a) { case A { " * n + "1" + " } }" * n, "stmt", 4),
+    "defaults": (lambda n: "match (a) { default { " * n + "1" + " } }" * n, "stmt", 4),
+    "loops": (lambda n: "while [exists. true] (false) { " * n + "1" + " }" * n, "stmt", 4),
+    "states": (lambda n: "state S { " * n + "}" * n, "program", 2),
+}
+
+
+@pytest.fixture
+def deep_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("form", NESTINGS)
+def test_nesting_at_and_past_the_bound_parses_like_oracle(form, deep_recursion):
+    shape, where, frames = NESTINGS[form]
+    bound = MAX_NESTING // frames
+    for n in range(bound - 2, bound + 3):
+        text = shape(n)
+        if where == "term":
+            assert_same_parse(text, "parse_term")
+            sources = [MAIN.replace("{}", f"var (1, F(phi({text}), A)) v = new A()")]
+        elif where == "formula":
+            assert_same_parse(text, "parse_formula")
+            sources = [MAIN.replace("{}", f"var (1, F(phi(n, {text}), A)) v = new A()"),
+                       MAIN.replace("{}", f"var (1, F(phi({text}), A)) v = new A()")]
+        elif where == "stmt":
+            sources = [MAIN.replace("{}", text)]
+        else:
+            sources = [text]
+        for source in sources:
+            assert_same_parse(source, "parse_program")
