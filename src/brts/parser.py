@@ -120,8 +120,9 @@ def tokenize(source: str) -> list[Token]:
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
         self.tokens = tokenize(source)
-        # the offset at which each line starts
+        # line-start offsets, and one int per line number for its spans to share
         self.lines = [0, *(m.end() for m in NEWLINE_RE.finditer(source))]
+        self.numbers = list(range(len(self.lines) + 1))
         self.pos = 0
         self.filename = filename
         self.depth = 0          # frames held by enclosing nested expressions
@@ -133,16 +134,15 @@ class Parser:
     # the current position always indexes a token.
 
     def span(self, tok: Token) -> Span:
-        """The lines and columns of `tok`'s first and last characters; a
-        point for `eof`."""
+        """Where `tok`'s first and last characters are; a point for `eof`."""
         _, _, start, end = tok
-        lines = self.lines
+        lines, numbers = self.lines, self.numbers
         line = bisect_right(lines, start)
         col = start - lines[line - 1] + 1
         if start == end:
-            return Span(line, col)
+            return Span(numbers[line], col)
         end_line = bisect_right(lines, end - 1, line)
-        return Span(line, col, end_line, end - lines[end_line - 1])
+        return Span(numbers[line], col, numbers[end_line], end - lines[end_line - 1])
 
     def at(self, lexeme: str) -> bool:
         """Whether the current token spells `lexeme`; only a string

@@ -216,30 +216,45 @@ def test_spliced_program_fragments_parse_like_oracle():
 
 
 MAIN = ("state A { }\nstate S { type F : Pi(phi(n), A); }\nstate Main {\n"
-        "    void main()[] {\n        var (1, _) a = new A();\n        {};\n    }\n}\n")
+        "    void main()[] {\n        var (1, _) a = new A();\n        STMT;\n    }\n}\n")
 
-# Each nesting form: the source that nests it n deep, the parse functions to
-# run on it, and the frames one level holds.
+
+def in_main(stmt: str) -> str:
+    return MAIN.replace("STMT", stmt)
+
+
+# Each nesting form, as the text that nests it n deep and where it goes.
 NESTINGS = {
-    "negations": (lambda n: "- " * n + "0", "term", 1),
-    "scales": (lambda n: "1 * " * n + "0", "term", 1),
-    "term-parens": (lambda n: "(" * n + "0" + ")" * n, "term", 2),
-    "term-parens-left-of-comparison": (lambda n: "(" * n + "0" + ")" * n + " >= 0", "formula", 2),
-    "term-parens-right-of-comparison": (lambda n: "0 >= " + "(" * n + "0" + ")" * n, "formula", 2),
-    "formula-parens": (lambda n: "(" * n + "0 >= 0" + ")" * n, "formula", 4),
-    "nots": (lambda n: "~ " * n + "0 >= 0", "formula", 1),
-    "implications": (lambda n: "0 >= 0 => " * n + "0 >= 0", "formula", 1),
-    "exists": (lambda n: "exists a. " * n + "a >= 0", "formula", 4),
-    "fields": (lambda n: "a" + ".k" * n, "stmt", 2),
-    "methods": (lambda n: "a" + ".f(1)" * n, "stmt", 2),
-    "arguments": (lambda n: "a.f(" * n + "1" + ")" * n, "stmt", 3),
-    "constructors": (lambda n: "new A(" * n + "1" + ")" * n, "stmt", 3),
-    "lets": (lambda n: "let x = 1 in " * n + "x", "stmt", 3),
-    "cases": (lambda n: "case a { " * n + "1" + " }" * n, "stmt", 4),
-    "matches": (lambda n: "match (a) { case A { " * n + "1" + " } }" * n, "stmt", 4),
-    "defaults": (lambda n: "match (a) { default { " * n + "1" + " } }" * n, "stmt", 4),
-    "loops": (lambda n: "while [exists. true] (false) { " * n + "1" + " }" * n, "stmt", 4),
-    "states": (lambda n: "state S { " * n + "}" * n, "program", 2),
+    "negations": (lambda n: "- " * n + "0", "term"),
+    "scales": (lambda n: "1 * " * n + "0", "term"),
+    "term-parens": (lambda n: "(" * n + "0" + ")" * n, "term"),
+    "term-parens-left-of-comparison": (lambda n: "(" * n + "0" + ")" * n + " >= 0", "formula"),
+    "term-parens-right-of-comparison": (lambda n: "0 >= " + "(" * n + "0" + ")" * n, "formula"),
+    "formula-parens": (lambda n: "(" * n + "0 >= 0" + ")" * n, "formula"),
+    "nots": (lambda n: "~ " * n + "0 >= 0", "formula"),
+    "implications": (lambda n: "0 >= 0 => " * n + "0 >= 0", "formula"),
+    "exists": (lambda n: "exists a. " * n + "a >= 0", "formula"),
+    "fields": (lambda n: "a" + ".k" * n, "stmt"),
+    "methods": (lambda n: "a" + ".f(1)" * n, "stmt"),
+    "arguments": (lambda n: "a.f(" * n + "1" + ")" * n, "stmt"),
+    "constructors": (lambda n: "new A(" * n + "1" + ")" * n, "stmt"),
+    "lets": (lambda n: "let x = 1 in " * n + "x", "stmt"),
+    "cases": (lambda n: "case a { " * n + "1" + " }" * n, "stmt"),
+    "matches": (lambda n: "match (a) { case A { " * n + "1" + " } }" * n, "stmt"),
+    "defaults": (lambda n: "match (a) { default { " * n + "1" + " } }" * n, "stmt"),
+    "loops": (lambda n: "while [exists. true] (false) { " * n + "1" + " }" * n, "stmt"),
+    "states": (lambda n: "state S { " * n + "}" * n, "program"),
+}
+
+# the parse functions each kind of text goes through, and how it is placed
+CONTEXTS = {
+    "term": [("parse_term", str),
+             ("parse_program", lambda t: in_main(f"var (1, F(phi({t}), A)) v = new A()"))],
+    "formula": [("parse_formula", str),
+                ("parse_program", lambda t: in_main(f"var (1, F(phi(n, {t}), A)) v = new A()")),
+                ("parse_program", lambda t: in_main(f"var (1, F(phi({t}), A)) v = new A()"))],
+    "stmt": [("parse_program", in_main)],
+    "program": [("parse_program", str)],
 }
 
 
@@ -253,20 +268,17 @@ def deep_recursion():
 
 @pytest.mark.parametrize("form", NESTINGS)
 def test_nesting_at_and_past_the_bound_parses_like_oracle(form, deep_recursion):
-    shape, where, frames = NESTINGS[form]
-    bound = MAX_NESTING // frames
-    for n in range(bound - 2, bound + 3):
-        text = shape(n)
-        if where == "term":
-            assert_same_parse(text, "parse_term")
-            sources = [MAIN.replace("{}", f"var (1, F(phi({text}), A)) v = new A()")]
-        elif where == "formula":
-            assert_same_parse(text, "parse_formula")
-            sources = [MAIN.replace("{}", f"var (1, F(phi(n, {text}), A)) v = new A()"),
-                       MAIN.replace("{}", f"var (1, F(phi({text}), A)) v = new A()")]
-        elif where == "stmt":
-            sources = [MAIN.replace("{}", text)]
-        else:
-            sources = [text]
-        for source in sources:
-            assert_same_parse(source, "parse_program")
+    shape, where = NESTINGS[form]
+    for name, place in CONTEXTS[where]:
+        def too_deep(n: int) -> bool:
+            return parsed(getattr(parser_oracle, name), place(shape(n)))[1] == "NestingTooDeep"
+
+        # every level holds a frame, so MAX_NESTING + 1 levels are too deep;
+        # find the deepest nesting the oracle takes
+        lo, hi = 0, MAX_NESTING + 1
+        assert too_deep(hi) and not too_deep(lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if too_deep(mid) else (mid, hi)
+        for n in range(lo - 1, lo + 3):
+            assert_same_parse(place(shape(n)), name)
