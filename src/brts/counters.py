@@ -18,23 +18,21 @@ and tests the atoms already known; then one `itertools.product` enumerates
 the primed counters still free over the bound, and each candidate costs a
 test of the remaining atoms.
 
-Simulation is the greatest relation refined by predecessor counters
-(Henzinger, Henzinger & Kopke, "Computing simulations on finite and
-infinite graphs", FOCS 1995).  States are interned to integers, and for
-every simulator state p, label a and simulated state q2 a counter holds how
-many a-successors p2 of p still have (p2, q2) in the relation.  Removing a
-pair decrements the counters of its predecessors; a counter at zero removes
-every pair (p, q) with an a-move of q into q2.  The worklist runs in round
-order, so each removed pair keeps the round in which the naive Jacobi
-iteration would drop it, and counterexamples are rebuilt from those rounds.
+Simulation is the greatest relation left by round-based (Jacobi)
+refinement, run bit-parallel: the relation is one Python int over pairs of
+state positions, and each side lays its states out on a grid over
+(control, valuation), so that all moves with one label and one shift of
+position act on the relation as a single shift and mask.  Counterexamples
+are rebuilt from the rounds in which pairs fell.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from array import array
 from collections import Counter, deque
+from itertools import compress
+from operator import mul
 from typing import Callable, Iterable, Optional
 
 from .diagnostics import BrtsError
@@ -439,6 +437,64 @@ class Counterexample:
         return [a for a, _ in self.steps]
 
 
+class _Grid:
+    """Bit positions of one side's states.
+
+    A control's states sit in a box over the valuations, at position
+    `base[control] + sum(v_i * stride_i)`; the boxes of all controls share
+    their strides and follow each other.  A move from control c to c' that
+    changes the valuation by d therefore always shifts the position by the
+    same amount, wherever it starts.  When the boxes would hold more than
+    `SPARSE` positions per state, or valuations differ in length, `base` is
+    None and each state's position is its index in `states`: the moves no
+    longer share shifts, but the relation stays as small as the states.
+    """
+
+    SPARSE = 4
+
+    def __init__(self, lts: Lts):
+        states = lts.states
+        controls = list(dict.fromkeys(s.control for s in states))
+        self.base: Optional[dict[str, int]] = None
+        if len({len(s.valuation) for s in states}) == 1:
+            columns = list(zip(*(s.valuation for s in states)))
+            self.strides, box = [], 1
+            for column in columns:
+                self.strides.append(box)
+                box *= max(column) - min(column) + 1
+            if len(controls) * box <= self.SPARSE * len(states):
+                origin = sum(map(mul, map(min, columns), self.strides))
+                self.base = {c: k * box - origin for k, c in enumerate(controls)}
+                self.size = len(controls) * box
+        if self.base is None:
+            self.index = {s: i for i, s in enumerate(states)}.__getitem__
+            self.size = len(states)
+        self.at = [self.index(s) for s in states]
+        self.state_at: list[Optional[LtsState]] = [None] * self.size
+        for s, i in zip(states, self.at):
+            self.state_at[i] = s
+
+    def index(self, s: LtsState) -> int:
+        return self.base[s.control] + sum(map(mul, s.valuation, self.strides))
+
+    def shift_groups(self, lts: Lts) -> dict[tuple[str, int], list[int]]:
+        """The positions of the sources of the moves, by label and by the
+        shift from source to target position."""
+        groups: dict[tuple[str, int], list[int]] = {}
+        for s, i in zip(lts.states, self.at):
+            for a, s2 in lts.moves(s):
+                groups.setdefault((a, self.index(s2) - i), []).append(i)
+        return groups
+
+
+def _shifted(bits: int, by: int) -> int:
+    """`bits` moved `by` places toward the low end (the high end if negative)."""
+    return bits >> by if by >= 0 else bits << -by
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def check_simulation(sim: Lts, simulated: Lts):
     """Greatest simulation of `simulated` by `sim`, or a counterexample.
 
@@ -447,84 +503,88 @@ def check_simulation(sim: Lts, simulated: Lts):
     removed in round 0; any other removed pair gets one more than the least,
     over its unmatched moves, of the greatest round among that move's
     matches (round 1 when the simulator has no move with the label).
+
+    The relation is one int, with the pair (p, q) at bit `p * nq + q`,
+    where p and q are `_Grid` positions and nq is the simulated side's
+    number of positions, rounded up to whole bytes.  A side's moves with one label and one shift between
+    positions form a group, and a group acts on the whole relation at once:
+    a round computes, for each label a, the pairs (p, q2) where p has an
+    a-move into some p2 with (p2, q2) in the relation, as the union over
+    the simulator's a-groups of the relation shifted by the group's rows
+    and masked to its source rows; then it keeps, for each a-group of the
+    simulated side, only the pairs of its source columns whose shifted
+    column is in that union.  Each round reads the relation of the round
+    before, so it removes exactly the pairs of that round.  The round of
+    each removed pair is kept in binary, one bitset per binary digit, and
+    the refinement stops once the initial pair is removed: the
+    counterexample rebuilt from the rounds only looks at pairs removed
+    earlier than the pair it starts from.
     """
-    ps, qs = sim.states, simulated.states
-    nq = len(qs)
-    p_id = {s: i for i, s in enumerate(ps)}
-    q_id = {s: i for i, s in enumerate(qs)}
-    label_id: dict[str, int] = {}
-    # simulator: successors by label
-    succ: list[dict[int, set[int]]] = [{} for _ in ps]
-    for i, p in enumerate(ps):
-        for b, p2 in sim.moves(p):
-            succ[i].setdefault(label_id.setdefault(b, len(label_id)), set()).add(p_id[p2])
-    # simulated side: the labels each state needs, and the states with an
-    # a-move into q2, keyed a * nq + q2
-    needs: list[set[int]] = [set() for _ in qs]
-    into: dict[int, list[int]] = {}
-    for j, q in enumerate(qs):
-        for a, q2 in simulated.moves(q):
-            aid = label_id.setdefault(a, len(label_id))
-            needs[j].add(aid)
-            into.setdefault(aid * nq + q_id[q2], []).append(j)
-    nl = len(label_id)
-    # simulator predecessors of p2: (p * nq, a * nq, counter base, number
-    # of a-successors of p); the counter of (p, a, q2) sits at base + q2
-    pred: list[list[tuple[int, int, int, int]]] = [[] for _ in ps]
-    for i, by_label in enumerate(succ):
-        for a, targets in by_label.items():
-            for j in targets:
-                pred[j].append((i * nq, a * nq, (i * nl + a) * nq, len(targets)))
+    ps, qs = _Grid(sim), _Grid(simulated)
+    # a row of the relation takes whole bytes, so masks are built as bytes
+    row_bytes = -(-qs.size // 8)
+    nq = 8 * row_bytes
+    full_row, empty_row = b"\xff" * row_bytes, bytes(row_bytes)
 
-    # round of each removed pair, -1 while the pair is in the relation
-    rounds = array("i", [-1]) * (len(ps) * nq)
-    queue: deque[int] = deque()
-    non_final = [i for i, p in enumerate(ps) if p not in sim.finals]
-    for j, q in enumerate(qs):
-        if q in simulated.finals:
-            for i in non_final:
-                rounds[i * nq + j] = 0
-                queue.append(i * nq + j)
-    by_labels: dict[frozenset[int], list[int]] = {}
-    for i, by_label in enumerate(succ):
-        by_labels.setdefault(frozenset(by_label), []).append(i)
-    for j in range(nq):
-        for have, group in by_labels.items():
-            if needs[j] <= have:
-                continue
-            for i in group:
-                if rounds[i * nq + j] < 0:
-                    rounds[i * nq + j] = 1
-                    queue.append(i * nq + j)
+    def rows(positions: Iterable[int]) -> int:
+        marked = set(positions)
+        return int.from_bytes(b"".join(full_row if p in marked else empty_row
+                                       for p in range(ps.size)), "little")
 
-    alive_matches: dict[int, int] = {}
-    while queue:
-        removed = queue.popleft()
-        i2, j2 = divmod(removed, nq)
-        rnd = rounds[removed] + 1
-        for row, a_nq, base, matches in pred[i2]:
-            dependents = into.get(a_nq + j2)
-            if dependents is None:
-                continue
-            left = alive_matches.get(base + j2, matches) - 1
-            alive_matches[base + j2] = left
-            if left:
-                continue
-            for j in dependents:
-                pair = row + j
-                if rounds[pair] < 0:
-                    rounds[pair] = rnd
-                    queue.append(pair)
+    def columns(positions: Iterable[int]) -> int:
+        row = sum(1 << q for q in set(positions))
+        return int.from_bytes(row.to_bytes(row_bytes, "little") * ps.size, "little")
+
+    simulated_groups = qs.shift_groups(simulated)
+    labels = {a for a, _ in simulated_groups}
+    # per label, the simulator's groups as (shift of the relation, source rows)
+    simulator_groups: dict[str, list[tuple[int, int]]] = {a: [] for a in labels}
+    for (a, shift), sources in ps.shift_groups(sim).items():
+        if a in labels:
+            simulator_groups[a].append((shift * nq, rows(sources)))
+    needs = [(a, shift, ~columns(sources)) for (a, shift), sources in simulated_groups.items()]
+
+    non_final = [i for s, i in zip(sim.states, ps.at) if s not in sim.finals]
+    final = [j for s, j in zip(simulated.states, qs.at) if s in simulated.finals]
+    rel = rows(ps.at) & columns(qs.at) & ~(rows(non_final) & columns(final))
+    initial = ps.index(sim.initial) * nq + qs.index(simulated.initial)
+    digits: list[int] = []      # digit d holds the removed pairs whose round has bit d
+    rnd = 0
+    while rel >> initial & 1:
+        matched = {}
+        for a, groups in simulator_groups.items():
+            m = 0
+            for shift, mask in groups:
+                m |= _shifted(rel, shift) & mask
+            matched[a] = m
+        kept = rel
+        for a, shift, outside in needs:
+            kept &= outside | _shifted(matched[a], shift)
+        if kept == rel:
+            # byte k of `bits` is bit k of the relation
+            bits = bin(rel)[:1:-1].encode().translate(_BITS)
+            return SimulationRelation({
+                (p, q) for i, p in enumerate(ps.state_at)
+                for q in compress(qs.state_at, bits[i * nq:(i + 1) * nq])})
+        rnd += 1
+        removed = rel ^ kept
+        for d in range(rnd.bit_length()):
+            if d == len(digits):
+                digits.append(0)
+            if rnd >> d & 1:
+                digits[d] |= removed
+        rel = kept
 
     def removed_round(p: LtsState, q: LtsState) -> int:
-        return rounds[p_id[p] * nq + q_id[q]]
-
-    p, q = sim.initial, simulated.initial
-    if removed_round(p, q) < 0:
-        return SimulationRelation({(ps[k // nq], qs[k % nq])
-                                   for k, r in enumerate(rounds) if r < 0})
+        # -1 for a pair still in the relation, as every pair removed after
+        # the initial one is
+        k = ps.index(p) * nq + qs.index(q)
+        if rel >> k & 1:
+            return -1
+        return sum((digit >> k & 1) << d for d, digit in enumerate(digits))
 
     # reconstruct a shortest refutation path by round numbers
+    p, q = sim.initial, simulated.initial
     steps: list[tuple[str, LtsState]] = []
     while True:
         k = removed_round(p, q)

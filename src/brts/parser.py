@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Iterator, NoReturn, Optional
+from typing import Container, Iterator, NoReturn, Optional
 
 from .diagnostics import BrtsError, Span
 from .presburger import (
@@ -119,6 +119,7 @@ def tokenize(source: str) -> list[Token]:
 
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
+        self.source = source
         self.tokens = tokenize(source)
         # line-start offsets, and one int per line number for its spans to share
         self.lines = [0, *(m.end() for m in NEWLINE_RE.finditer(source))]
@@ -157,7 +158,7 @@ class Parser:
             return True
         return False
 
-    def at_any(self, lexemes: tuple[str, ...]) -> bool:
+    def at_any(self, lexemes: Container[str]) -> bool:
         t = self.tokens[self.pos]
         return t[1] in lexemes and t[0] != "string"
 
@@ -202,7 +203,11 @@ class Parser:
 
     def fail(self, message: str) -> NoReturn:
         t = self.tokens[self.pos]
-        got = t[1] or "end of input"
+        kind, got, start, end = t
+        if kind == "eof":
+            got = "end of input"
+        elif kind == "string":
+            got = self.source[start:end]     # as written, with its quotes
         raise BrtsError("ParseError", f"{message}, found '{got}'", self.span(t))
 
     @contextmanager
@@ -303,7 +308,7 @@ class Parser:
 
     def type_(self) -> ast.Type:
         kind, lexeme, _, _ = self.tokens[self.pos]
-        if lexeme in PRIM_TYPES:
+        if kind == "keyword" and lexeme in PRIM_TYPES:
             self.pos += 1
             return ast.PrimType(lexeme)
         if kind == "ident":
@@ -366,7 +371,7 @@ class Parser:
         if not self.at("("):
             # one pass: the term is the left side of the first comparison
             t = self.term()
-            if self.tokens[self.pos][1] not in FORMULA_OPS:
+            if not self.at_any(FORMULA_OPS):
                 return "term", t
             return "formula", self.formula(self.comparison(t))
         # `(` opens a term or a formula; a formula parse, which charges each
@@ -374,7 +379,7 @@ class Parser:
         save = self.pos
         try:
             t = self.term()
-            if self.tokens[self.pos][1] not in FORMULA_OPS:
+            if not self.at_any(FORMULA_OPS):
                 return "term", t
         except BrtsError:
             pass            # `(n >= m)` is no term, but may be a formula
@@ -431,7 +436,7 @@ class Parser:
                     with self.nested(4):
                         f = self.formula()
                     self.expect(")")
-                    if self.tokens[self.pos][1] not in COMPARISONS:
+                    if not self.at_any(COMPARISONS):
                         return f
                     # a comparison of formulas: read `(` as opening a term
                 except NestingTooDeep:
@@ -444,7 +449,8 @@ class Parser:
     def comparison(self, lhs: Optional[Lin] = None) -> Formula:
         """A comparison; `lhs`, if given, is its left side, already parsed."""
         t1 = self.term() if lhs is None else lhs
-        build = COMPARISONS.get(self.tokens[self.pos][1])
+        kind, op, _, _ = self.tokens[self.pos]
+        build = COMPARISONS.get(op) if kind == "symbol" else None
         if build is None:
             self.fail("expected a comparison operator")
         self.pos += 1
@@ -506,7 +512,7 @@ class Parser:
                 self.pos += 1
                 declared = None
                 after = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
-                if not (self.tokens[self.pos][0] == "ident" and after[1] == "="):
+                if not (self.tokens[self.pos][0] == "ident" and after[:2] == ("symbol", "=")):
                     declared = self.type_()
                 name = self.ident()
                 self.expect("=")

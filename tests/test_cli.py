@@ -713,3 +713,12 @@ def test_parenthesised_constraint_parses(tmp_path, constraint):
     program.write_text(_counter_program(constraint=constraint))
     out = brts("check", str(program))
     assert out.returncode == 0, out.stderr
+
+
+def test_string_literal_type_is_a_located_parse_error(tmp_path):
+    program = tmp_path / "quoted.brts"
+    program.write_text('state Main {\n    void main()[] {\n        var "int" x = 1;\n    }\n}\n')
+    out = brts("check", str(program))
+    assert out.returncode == 2
+    assert out.stderr == (f"{program}:3:13: error: expected a type, "
+                          f"found '\"int\"' [BRTS002]\n")

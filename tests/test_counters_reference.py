@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from brts.cli import initial_instance_of
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
-    Transition, annotations_of_program, brts_to_lts, check_simulation,
+    Transition, _Grid, annotations_of_program, brts_to_lts, check_simulation,
     compile_predicate, is_flat, load_machine, mca_to_lts, primed, reach_violation,
 )
 from brts.parser import parse_formula, parse_program
@@ -26,7 +27,8 @@ from brts.presburger import (
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
-    reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
+    counting_simulation, reference_brts_to_lts, reference_reach, reference_simulation,
+    reference_successors,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -43,6 +45,20 @@ def same_outcome(got, want) -> None:
     else:
         assert got.steps == want.steps
         assert got.reason == want.reason
+
+
+def simulation_agrees(sim: Lts, simulated: Lts):
+    """`check_simulation` against both oracles; the Jacobi oracle's outcome."""
+    want = reference_simulation(sim, simulated)
+    same_outcome(counting_simulation(sim, simulated), want)
+    same_outcome(check_simulation(sim, simulated), want)
+    return want
+
+
+def outcome_kind(result) -> str:
+    if isinstance(result, SimulationRelation):
+        return "relation"
+    return "final" if "final" in result.reason else "no move"
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +82,86 @@ def test_simulation_matches_reference_on_random_lts():
     rng = random.Random(20240611)
     outcomes = {"relation": 0, "final": 0, "no move": 0, "longer": 0}
     for _ in range(600):
-        sim, simulated = random_lts(rng, "p"), random_lts(rng, "q")
-        want = reference_simulation(sim, simulated)
-        same_outcome(check_simulation(sim, simulated), want)
-        if isinstance(want, SimulationRelation):
-            outcomes["relation"] += 1
-        else:
-            outcomes["final" if "final" in want.reason else "no move"] += 1
-            outcomes["longer"] += len(want.steps) > 1
+        want = simulation_agrees(random_lts(rng, "p"), random_lts(rng, "q"))
+        outcomes[outcome_kind(want)] += 1
+        outcomes["longer"] += len(getattr(want, "steps", ())) > 1
     # the sample exercises every way the check can end
     assert all(n >= 20 for n in outcomes.values()), outcomes
+
+
+def random_grid_lts(rng: random.Random, tag: str) -> Lts:
+    """An LTS over 1-3 controls and 0-3 counters, its states a random
+    subset of a box of valuations that reaches below zero: dense enough
+    for the grid layout or sparse enough for its fallback.  Half of the
+    moves repeat one of a few (label, control step, valuation step) shifts,
+    as a counter machine's moves do; the rest go anywhere."""
+    arity = rng.randint(0, 3)
+    controls = [f"{tag}{i}" for i in range(rng.randint(1, 3))]
+    ranges = [range(lo, lo + rng.randint(1, 4)) for lo in (rng.randint(-4, 1)
+                                                            for _ in range(arity))]
+    box = [LtsState(c, v) for c in controls for v in itertools.product(*ranges)]
+    states = rng.sample(box, rng.randint(1, min(len(box), 12)))
+    present = set(states)
+    shifts = [(rng.choice("abc"), rng.randint(0, 2),
+               tuple(rng.randint(-1, 1) for _ in range(arity)))
+              for _ in range(rng.randint(1, 3))]
+    lts = Lts(tuple(f"c{i}" for i in range(arity)), states[0], states=states)
+    for s in states:
+        moves = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                a, step, delta = rng.choice(shifts)
+                control = controls[(controls.index(s.control) + step) % len(controls)]
+                target = LtsState(control, tuple(map(sum, zip(s.valuation, delta))))
+                if target in present:
+                    moves.append((a, target))
+            else:
+                moves.append((rng.choice("abc"), rng.choice(states)))
+        if moves or rng.random() < 0.5:
+            lts.transitions[s] = tuple(moves)
+        lts.actions.update(a for a, _ in moves)
+    lts.finals = {s for s in states if rng.random() < 0.3}
+    return lts
+
+
+def test_simulation_matches_reference_on_random_grids():
+    rng = random.Random(20261020)
+    outcomes = {"relation": 0, "final": 0, "no move": 0, "longer": 0,
+                "boxed": 0, "dense": 0, "no counters": 0, "three counters": 0}
+    for _ in range(1000):
+        sim, simulated = random_grid_lts(rng, "p"), random_grid_lts(rng, "q")
+        want = simulation_agrees(sim, simulated)
+        outcomes[outcome_kind(want)] += 1
+        outcomes["longer"] += len(getattr(want, "steps", ())) > 1
+        for lts in (sim, simulated):
+            outcomes["dense" if _Grid(lts).base is None else "boxed"] += 1
+            outcomes["no counters"] += not lts.counters
+            outcomes["three counters"] += len(lts.counters) == 3
+    # every way the check can end, with each layout and counter count
+    assert all(n >= 20 for n in outcomes.values()), outcomes
+
+
+def test_sparse_valuations_fall_back_to_dense_positions():
+    """States 10**6 apart would ask for a box of over 10**6 positions per
+    side and 10**12 bits of relation; the fallback lays out the states
+    alone."""
+    far = 10 ** 6
+    sides = []
+    for tag, valuations in [("p", [(0, 0, 0), (far, -far, 3), (-far, far, -3), (1, 0, far)]),
+                            ("q", [(0, 0, 0), (far, -far, 3), (-far, far, -3)])]:
+        states = [LtsState(tag, v) for v in valuations]
+        lts = Lts(("c0", "c1", "c2"), states[0], states=states)
+        for s, t in zip(states, states[1:] + states[:1]):
+            lts.transitions[s] = (("a", t), ("b", s))
+        lts.actions = {"a", "b"}
+        lts.finals = {states[-1]}
+        sides.append(lts)
+    sim, simulated = sides
+    assert _Grid(sim).base is None and _Grid(sim).size == 4
+    started = time.perf_counter()
+    for pair in [(sim, simulated), (simulated, sim), (sim, sim)]:
+        simulation_agrees(*pair)
+    assert time.perf_counter() - started < 1.0
 
 
 def corpus_lts(case: str, bound: int, drop: str | None = None) -> tuple[Lts, Lts]:
@@ -103,8 +189,7 @@ def corpus_lts(case: str, bound: int, drop: str | None = None) -> tuple[Lts, Lts
 def test_simulation_matches_reference_on_corpus(case, bound):
     br, machine = corpus_lts(case, bound)
     for sim, simulated in [(br, machine), (machine, br), (machine, machine)]:
-        same_outcome(check_simulation(sim, simulated),
-                     reference_simulation(sim, simulated))
+        simulation_agrees(sim, simulated)
 
 
 @pytest.mark.parametrize("bound", [3, 6, 9])
@@ -114,9 +199,18 @@ def test_simulation_matches_reference_on_corpus(case, bound):
 ])
 def test_deletion_counterexample_matches_reference(case, label, bound):
     br, machine = corpus_lts(case, bound, drop=label)
-    got = check_simulation(br, machine)
-    assert isinstance(got, Counterexample)
-    same_outcome(got, reference_simulation(br, machine))
+    assert isinstance(simulation_agrees(br, machine), Counterexample)
+
+
+@pytest.mark.parametrize("case, most", [("prodcons", 4), ("dyck", 5)])
+def test_corpus_moves_share_few_shifts(case, most):
+    """At the largest benchmark bound each side of a corpus case lays out
+    on the grid, and its moves form at most `most` (label, shift) groups:
+    one group per move, as with dense positions, would be hundreds."""
+    for lts in corpus_lts(case, 15):
+        grid = _Grid(lts)
+        assert grid.base is not None
+        assert len(grid.shift_groups(lts)) <= most
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,55 @@ state Main { void main()[] { let x = 1 in x; } }
     prog = parse_program(src)
     text = print_program(prog)
     assert strip_spans(parse_program(text)) == strip_spans(prog)
+
+
+# ---------------------------------------------------------------------------
+# string literals stand only for strings
+# ---------------------------------------------------------------------------
+
+BOX = "state Box { }\nstate Ops { type B : Pi(phi(n), Box); }\n"
+
+
+def _in_main(stmt: str) -> str:
+    return BOX + "state Main {\n    void main()[] {\n        " + stmt + "\n    }\n}\n"
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    (_in_main('var "int" x = 1;'), "expected a type, found '\"int\"'", 5, 13),
+    ("state S { var \"int\" x; }", "expected a type, found '\"int\"'", 1, 15),
+    (_in_main('var x "=" 1;'), "expected an identifier, found '\"=\"'", 5, 15),
+    (_in_main('var (1, B(phi(0, 0 "<=" 1), Box)) w = new Box();'),
+     "expected ',', found '\"<=\"'", 5, 28),
+    (_in_main('var (1, B(phi(0, (0) "<=" 1), Box)) w = new Box();'),
+     "expected ',', found '\"<=\"'", 5, 30),
+    (_in_main('var (1, B(phi(0, 0 >= 0 "&&" 1 >= 0), Box)) w = new Box();'),
+     "expected ',', found '\"&&\"'", 5, 33),
+])
+def test_string_literal_is_not_a_type_operator_or_equals(source, message, line, col):
+    with pytest.raises(BrtsError) as err:
+        parse_program(source)
+    assert err.value.kind == "ParseError"
+    assert str(err.value) == message
+    assert (err.value.span.line, err.value.span.col) == (line, col)
+
+
+@pytest.mark.parametrize("source, message", [
+    ('(0 >= 1) "==" 1', "trailing input after formula, found '\"==\"'"),
+    ('x "<" 1', "expected a comparison operator, found '\"<\"'"),
+])
+def test_string_literal_is_not_a_comparison_in_a_formula(source, message):
+    with pytest.raises(BrtsError) as err:
+        parse_formula(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source, found", [
+    ('state S { "" }', '""'),
+    ('state S { "a\\"b\\n" }', '"a\\"b\\n"'),
+    ("state S {", "end of input"),
+    ("state S { // the end", "end of input"),
+])
+def test_parse_error_names_a_string_with_its_quotes(source, found):
+    with pytest.raises(BrtsError) as err:
+        parse_program(source)
+    assert str(err.value) == f"expected a type, found '{found}'"

