@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from collections import Counter, deque
 from itertools import compress
 from operator import mul
@@ -438,61 +439,66 @@ class Counterexample:
 
 
 class _Grid:
-    """Bit positions of one side's states.
+    """Bit positions of one side's states, and its moves grouped by label
+    and by the shift from source to target position.
 
-    A control's states sit in a box over the valuations, at position
-    `base[control] + sum(v_i * stride_i)`; the boxes of all controls share
-    their strides and follow each other.  A move from control c to c' that
-    changes the valuation by d therefore always shifts the position by the
-    same amount, wherever it starts.  When the boxes would hold more than
-    `SPARSE` positions per state, or valuations differ in length, `base` is
-    None and each state's position is its index in `states`: the moves no
-    longer share shifts, but the relation stays as small as the states.
+    A state sits at `base[control] + sum(v_i * stride_i)`, with the strides
+    of the box around all valuations.  Each control takes the span from its
+    least to its greatest such position, right after the control before
+    it.  A move from control c to c' that changes the valuation by d
+    therefore shifts the position by the same amount wherever it starts.
+    The valuations must all have one length.
     """
-
-    SPARSE = 4
 
     def __init__(self, lts: Lts):
         states = lts.states
-        controls = list(dict.fromkeys(s.control for s in states))
-        self.base: Optional[dict[str, int]] = None
-        if len({len(s.valuation) for s in states}) == 1:
-            columns = list(zip(*(s.valuation for s in states)))
-            self.strides, box = [], 1
-            for column in columns:
-                self.strides.append(box)
-                box *= max(column) - min(column) + 1
-            if len(controls) * box <= self.SPARSE * len(states):
-                origin = sum(map(mul, map(min, columns), self.strides))
-                self.base = {c: k * box - origin for k, c in enumerate(controls)}
-                self.size = len(controls) * box
-        if self.base is None:
-            self.index = {s: i for i, s in enumerate(states)}.__getitem__
-            self.size = len(states)
-        self.at = [self.index(s) for s in states]
-        self.state_at: list[Optional[LtsState]] = [None] * self.size
+        strides, box = [], 1
+        for column in zip(*(s.valuation for s in states)):
+            strides.append(box)
+            box *= max(column) - min(column) + 1
+        flat = [sum(map(mul, s.valuation, strides)) for s in states]
+        span: dict[str, tuple[int, int]] = {}
+        for s, f in zip(states, flat):
+            lo, hi = span.get(s.control, (f, f))
+            span[s.control] = (min(lo, f), max(hi, f))
+        base, self.size = {}, 0
+        for c, (lo, hi) in span.items():
+            base[c] = self.size - lo
+            self.size += hi - lo + 1
+        self.at = [base[s.control] + f for s, f in zip(states, flat)]
+        self.index = dict(zip(states, self.at)).__getitem__
+        self.groups: dict[tuple[str, int], list[int]] = {}
         for s, i in zip(states, self.at):
-            self.state_at[i] = s
-
-    def index(self, s: LtsState) -> int:
-        return self.base[s.control] + sum(map(mul, s.valuation, self.strides))
-
-    def shift_groups(self, lts: Lts) -> dict[tuple[str, int], list[int]]:
-        """The positions of the sources of the moves, by label and by the
-        shift from source to target position."""
-        groups: dict[tuple[str, int], list[int]] = {}
-        for s, i in zip(lts.states, self.at):
             for a, s2 in lts.moves(s):
-                groups.setdefault((a, self.index(s2) - i), []).append(i)
-        return groups
+                self.groups.setdefault((a, self.index(s2) - i), []).append(i)
+
+    def states_at(self, lts: Lts) -> list[Optional[LtsState]]:
+        """The state at each position, None between states."""
+        state_at: list[Optional[LtsState]] = [None] * self.size
+        for s, i in zip(lts.states, self.at):
+            state_at[i] = s
+        return state_at
 
 
-def _shifted(bits: int, by: int) -> int:
-    """`bits` moved `by` places toward the low end (the high end if negative)."""
-    return bits >> by if by >= 0 else bits << -by
+# the most bits of masks per pair of states for which `check_simulation`
+# refines on the grid; the predecessor counters take about 500 bits of
+# memory per pair
+MASK_BITS = 256
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+def _grids(sim: Lts, simulated: Lts) -> Optional[tuple[_Grid, _Grid]]:
+    """The grids of both sides, when the valuations of each side have one
+    length and the masks of the grid refinement take at most `MASK_BITS`
+    bits per pair of states: one relation-sized mask per group of the
+    simulated side and per group of the simulator with a label it needs."""
+    if any(len({len(s.valuation) for s in lts.states}) > 1 for lts in (sim, simulated)):
+        return None
+    ps, qs = _Grid(sim), _Grid(simulated)
+    labels = {a for a, _ in qs.groups}
+    groups = sum(a in labels for a, _ in ps.groups) + len(qs.groups)
+    if groups * ps.size * qs.size > MASK_BITS * len(sim.states) * len(simulated.states):
+        return None
+    return ps, qs
 
 
 def check_simulation(sim: Lts, simulated: Lts):
@@ -504,23 +510,45 @@ def check_simulation(sim: Lts, simulated: Lts):
     over its unmatched moves, of the greatest round among that move's
     matches (round 1 when the simulator has no move with the label).
 
-    The relation is one int, with the pair (p, q) at bit `p * nq + q`,
-    where p and q are `_Grid` positions and nq is the simulated side's
-    number of positions, rounded up to whole bytes.  A side's moves with one label and one shift between
-    positions form a group, and a group acts on the whole relation at once:
-    a round computes, for each label a, the pairs (p, q2) where p has an
-    a-move into some p2 with (p2, q2) in the relation, as the union over
-    the simulator's a-groups of the relation shifted by the group's rows
-    and masked to its source rows; then it keeps, for each a-group of the
-    simulated side, only the pairs of its source columns whose shifted
-    column is in that union.  Each round reads the relation of the round
-    before, so it removes exactly the pairs of that round.  The round of
-    each removed pair is kept in binary, one bitset per binary digit, and
-    the refinement stops once the initial pair is removed: the
-    counterexample rebuilt from the rounds only looks at pairs removed
-    earlier than the pair it starts from.
+    Where both sides lie densely on their grids and their moves share few
+    shifts (`_grids`), the rounds run bit-parallel (`_grid_simulation`);
+    elsewhere a worklist of predecessor counters finds the same rounds
+    (`_counting_simulation`).
     """
-    ps, qs = _Grid(sim), _Grid(simulated)
+    grids = _grids(sim, simulated)
+    if grids is None:
+        return _counting_simulation(sim, simulated)
+    return _grid_simulation(sim, simulated, *grids)
+
+
+def _shifted(bits: int, by: int) -> int:
+    """`bits` moved `by` places toward the low end (the high end if negative)."""
+    return bits >> by if by >= 0 else bits << -by
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _grid_simulation(sim: Lts, simulated: Lts, ps: _Grid, qs: _Grid):
+    """`check_simulation` as one bitset refinement over the grids `ps` of
+    `sim` and `qs` of `simulated`.
+
+    The relation is one int, with the pair (p, q) at bit `p * nq + q`,
+    where p and q are grid positions and nq is the simulated side's number
+    of positions, rounded up to whole bytes.  A side's moves with one label
+    and one shift between positions form a group, and a group acts on the
+    whole relation at once: a round computes, for each label a, the pairs
+    (p, q2) where p has an a-move into some p2 with (p2, q2) in the
+    relation, as the union over the simulator's a-groups of the relation
+    shifted by the group's rows and masked to its source rows; then it
+    keeps, for each a-group of the simulated side, only the pairs of its
+    source columns whose shifted column is in that union.  Each round reads
+    the relation of the round before, so it removes exactly the pairs of
+    that round.  The round of each removed pair is kept in binary, one
+    bitset per binary digit, and the refinement stops once the initial pair
+    is removed: the counterexample rebuilt from the rounds only looks at
+    pairs removed earlier than the pair it starts from.
+    """
     # a row of the relation takes whole bytes, so masks are built as bytes
     row_bytes = -(-qs.size // 8)
     nq = 8 * row_bytes
@@ -535,14 +563,13 @@ def check_simulation(sim: Lts, simulated: Lts):
         row = sum(1 << q for q in set(positions))
         return int.from_bytes(row.to_bytes(row_bytes, "little") * ps.size, "little")
 
-    simulated_groups = qs.shift_groups(simulated)
-    labels = {a for a, _ in simulated_groups}
+    labels = {a for a, _ in qs.groups}
     # per label, the simulator's groups as (shift of the relation, source rows)
     simulator_groups: dict[str, list[tuple[int, int]]] = {a: [] for a in labels}
-    for (a, shift), sources in ps.shift_groups(sim).items():
+    for (a, shift), sources in ps.groups.items():
         if a in labels:
             simulator_groups[a].append((shift * nq, rows(sources)))
-    needs = [(a, shift, ~columns(sources)) for (a, shift), sources in simulated_groups.items()]
+    needs = [(a, shift, ~columns(sources)) for (a, shift), sources in qs.groups.items()]
 
     non_final = [i for s, i in zip(sim.states, ps.at) if s not in sim.finals]
     final = [j for s, j in zip(simulated.states, qs.at) if s in simulated.finals]
@@ -563,9 +590,10 @@ def check_simulation(sim: Lts, simulated: Lts):
         if kept == rel:
             # byte k of `bits` is bit k of the relation
             bits = bin(rel)[:1:-1].encode().translate(_BITS)
+            q_at = qs.states_at(simulated)
             return SimulationRelation({
-                (p, q) for i, p in enumerate(ps.state_at)
-                for q in compress(qs.state_at, bits[i * nq:(i + 1) * nq])})
+                (p, q) for i, p in enumerate(ps.states_at(sim))
+                for q in compress(q_at, bits[i * nq:(i + 1) * nq])})
         rnd += 1
         removed = rel ^ kept
         for d in range(rnd.bit_length()):
@@ -583,7 +611,104 @@ def check_simulation(sim: Lts, simulated: Lts):
             return -1
         return sum((digit >> k & 1) << d for d, digit in enumerate(digits))
 
-    # reconstruct a shortest refutation path by round numbers
+    return _refutation(sim, simulated, removed_round)
+
+
+def _counting_simulation(sim: Lts, simulated: Lts):
+    """`check_simulation` by predecessor counters (Henzinger, Henzinger &
+    Kopke, "Computing simulations on finite and infinite graphs", FOCS
+    1995).
+
+    States are interned to integers, and for every simulator state p, label
+    a and simulated state q2 a counter holds how many a-successors p2 of p
+    still have (p2, q2) in the relation.  Removing a pair decrements the
+    counters of its predecessors; a counter at zero removes every pair
+    (p, q) with an a-move of q into q2.  The worklist runs in round order,
+    so each removed pair keeps the round in which the Jacobi iteration
+    drops it.
+    """
+    ps, qs = sim.states, simulated.states
+    nq = len(qs)
+    p_id = {s: i for i, s in enumerate(ps)}
+    q_id = {s: i for i, s in enumerate(qs)}
+    label_id: dict[str, int] = {}
+    # simulator: successors by label
+    succ: list[dict[int, set[int]]] = [{} for _ in ps]
+    for i, p in enumerate(ps):
+        for b, p2 in sim.moves(p):
+            succ[i].setdefault(label_id.setdefault(b, len(label_id)), set()).add(p_id[p2])
+    # simulated side: the labels each state needs, and the states with an
+    # a-move into q2, keyed a * nq + q2
+    needs: list[set[int]] = [set() for _ in qs]
+    into: dict[int, list[int]] = {}
+    for j, q in enumerate(qs):
+        for a, q2 in simulated.moves(q):
+            aid = label_id.setdefault(a, len(label_id))
+            needs[j].add(aid)
+            into.setdefault(aid * nq + q_id[q2], []).append(j)
+    nl = len(label_id)
+    # simulator predecessors of p2: (p * nq, a * nq, counter base, number
+    # of a-successors of p); the counter of (p, a, q2) sits at base + q2
+    pred: list[list[tuple[int, int, int, int]]] = [[] for _ in ps]
+    for i, by_label in enumerate(succ):
+        for a, targets in by_label.items():
+            for j in targets:
+                pred[j].append((i * nq, a * nq, (i * nl + a) * nq, len(targets)))
+
+    # round of each removed pair, -1 while the pair is in the relation
+    rounds = array("i", [-1]) * (len(ps) * nq)
+    queue: deque[int] = deque()
+    non_final = [i for i, p in enumerate(ps) if p not in sim.finals]
+    for j, q in enumerate(qs):
+        if q in simulated.finals:
+            for i in non_final:
+                rounds[i * nq + j] = 0
+                queue.append(i * nq + j)
+    by_labels: dict[frozenset[int], list[int]] = {}
+    for i, by_label in enumerate(succ):
+        by_labels.setdefault(frozenset(by_label), []).append(i)
+    for j in range(nq):
+        for have, group in by_labels.items():
+            if needs[j] <= have:
+                continue
+            for i in group:
+                if rounds[i * nq + j] < 0:
+                    rounds[i * nq + j] = 1
+                    queue.append(i * nq + j)
+
+    alive_matches: dict[int, int] = {}
+    while queue:
+        removed = queue.popleft()
+        i2, j2 = divmod(removed, nq)
+        rnd = rounds[removed] + 1
+        for row, a_nq, base, matches in pred[i2]:
+            dependents = into.get(a_nq + j2)
+            if dependents is None:
+                continue
+            left = alive_matches.get(base + j2, matches) - 1
+            alive_matches[base + j2] = left
+            if left:
+                continue
+            for j in dependents:
+                pair = row + j
+                if rounds[pair] < 0:
+                    rounds[pair] = rnd
+                    queue.append(pair)
+
+    def removed_round(p: LtsState, q: LtsState) -> int:
+        return rounds[p_id[p] * nq + q_id[q]]
+
+    if removed_round(sim.initial, simulated.initial) < 0:
+        return SimulationRelation({(ps[k // nq], qs[k % nq])
+                                   for k, r in enumerate(rounds) if r < 0})
+
+    return _refutation(sim, simulated, removed_round)
+
+
+def _refutation(sim: Lts, simulated: Lts, removed_round: Callable[[LtsState, LtsState], int]):
+    """The counterexample from the round in which each pair was removed
+    (-1 for a pair in the relation): a shortest refutation path, taking at
+    each pair the unmatched move whose matches all fell earliest."""
     p, q = sim.initial, simulated.initial
     steps: list[tuple[str, LtsState]] = []
     while True:

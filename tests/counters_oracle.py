@@ -3,24 +3,22 @@ oracles for the indexed versions in `brts.counters`.
 
 `reference_simulation` is the round-based (Jacobi) greatest-simulation
 loop over a set of state pairs: every round re-checks every surviving pair
-against the relation of the round before.  `check_simulation` runs the
-same rounds over one bitset whose bits sit on a (control, valuation) grid
-per side, so the rounds, and the counterexample rebuilt from them, must
-agree pair for pair.  `counting_simulation` is the predecessor-counter
-worklist that `check_simulation` was before it went bit-parallel: a second
-oracle that reaches the same rounds by a different route.
-`reference_successors` grounds a machine guard with `substitute` +
-`simplify`, pins primed counters by unit equations and enumerates the
-rest.  `reference_reach` is the breadth-first search over
-`reference_successors`, with quantifiers decided by bounded search instead
-of elimination.  Apart from `counting_simulation`, all are slow and
-obviously faithful to the definitions, which is what an oracle is for.
+against the relation of the round before.  Both routes of
+`check_simulation` reach the same rounds, so the rounds, and the
+counterexample rebuilt from them, must agree pair for pair: the bitset
+refinement over a (control, valuation) grid per side, and the
+predecessor-counter worklist it falls back on where that grid is sparse
+or its moves share few shifts.  `reference_successors` grounds a machine
+guard with `substitute` + `simplify`, pins primed counters by unit
+equations and enumerates the rest.  `reference_reach` is the breadth-first
+search over `reference_successors`, with quantifiers decided by bounded
+search instead of elimination.  All are slow and obviously faithful to the
+definitions, which is what an oracle is for.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
 
 from brts.counters import (
@@ -83,121 +81,6 @@ def reference_simulation(sim: Lts, simulated: Lts):
                     steps, f"no move labelled '{a}' from {p.label()}")
             depth = max(removed_round[(p2, q2)] for p2 in matches)
             cand = min(matches, key=lambda p2: removed_round[(p2, q2)])
-            if best is None or depth < best[0]:
-                best = (depth, a, q2, cand)
-        assert best is not None, "refuted pair must have a failing move"
-        _, a, q2, p2 = best
-        steps.append((a, q2))
-        p, q = p2, q2
-
-
-def counting_simulation(sim: Lts, simulated: Lts):
-    """`reference_simulation` by predecessor counters (Henzinger, Henzinger
-    & Kopke, "Computing simulations on finite and infinite graphs", FOCS
-    1995), the algorithm `check_simulation` ran before it became bit-parallel.
-
-    States are interned to integers, and for every simulator state p, label
-    a and simulated state q2 a counter holds how many a-successors p2 of p
-    still have (p2, q2) in the relation.  Removing a pair decrements the
-    counters of its predecessors; a counter at zero removes every pair
-    (p, q) with an a-move of q into q2.  The worklist runs in round order,
-    so each removed pair keeps the round in which the Jacobi iteration
-    drops it, and the counterexample is rebuilt from those rounds.
-    """
-    ps, qs = sim.states, simulated.states
-    nq = len(qs)
-    p_id = {s: i for i, s in enumerate(ps)}
-    q_id = {s: i for i, s in enumerate(qs)}
-    label_id: dict[str, int] = {}
-    # simulator: successors by label
-    succ: list[dict[int, set[int]]] = [{} for _ in ps]
-    for i, p in enumerate(ps):
-        for b, p2 in sim.moves(p):
-            succ[i].setdefault(label_id.setdefault(b, len(label_id)), set()).add(p_id[p2])
-    # simulated side: the labels each state needs, and the states with an
-    # a-move into q2, keyed a * nq + q2
-    needs: list[set[int]] = [set() for _ in qs]
-    into: dict[int, list[int]] = {}
-    for j, q in enumerate(qs):
-        for a, q2 in simulated.moves(q):
-            aid = label_id.setdefault(a, len(label_id))
-            needs[j].add(aid)
-            into.setdefault(aid * nq + q_id[q2], []).append(j)
-    nl = len(label_id)
-    # simulator predecessors of p2: (p * nq, a * nq, counter base, number
-    # of a-successors of p); the counter of (p, a, q2) sits at base + q2
-    pred: list[list[tuple[int, int, int, int]]] = [[] for _ in ps]
-    for i, by_label in enumerate(succ):
-        for a, targets in by_label.items():
-            for j in targets:
-                pred[j].append((i * nq, a * nq, (i * nl + a) * nq, len(targets)))
-
-    # round of each removed pair, -1 while the pair is in the relation
-    rounds = array("i", [-1]) * (len(ps) * nq)
-    queue: deque[int] = deque()
-    non_final = [i for i, p in enumerate(ps) if p not in sim.finals]
-    for j, q in enumerate(qs):
-        if q in simulated.finals:
-            for i in non_final:
-                rounds[i * nq + j] = 0
-                queue.append(i * nq + j)
-    by_labels: dict[frozenset[int], list[int]] = {}
-    for i, by_label in enumerate(succ):
-        by_labels.setdefault(frozenset(by_label), []).append(i)
-    for j in range(nq):
-        for have, group in by_labels.items():
-            if needs[j] <= have:
-                continue
-            for i in group:
-                if rounds[i * nq + j] < 0:
-                    rounds[i * nq + j] = 1
-                    queue.append(i * nq + j)
-
-    alive_matches: dict[int, int] = {}
-    while queue:
-        removed = queue.popleft()
-        i2, j2 = divmod(removed, nq)
-        rnd = rounds[removed] + 1
-        for row, a_nq, base, matches in pred[i2]:
-            dependents = into.get(a_nq + j2)
-            if dependents is None:
-                continue
-            left = alive_matches.get(base + j2, matches) - 1
-            alive_matches[base + j2] = left
-            if left:
-                continue
-            for j in dependents:
-                pair = row + j
-                if rounds[pair] < 0:
-                    rounds[pair] = rnd
-                    queue.append(pair)
-
-    def removed_round(p: LtsState, q: LtsState) -> int:
-        return rounds[p_id[p] * nq + q_id[q]]
-
-    p, q = sim.initial, simulated.initial
-    if removed_round(p, q) < 0:
-        return SimulationRelation({(ps[k // nq], qs[k % nq])
-                                   for k, r in enumerate(rounds) if r < 0})
-
-    # reconstruct a shortest refutation path by round numbers
-    steps: list[tuple[str, LtsState]] = []
-    while True:
-        k = removed_round(p, q)
-        if k == 0:
-            return Counterexample(
-                steps, f"state {q.label()} is final but {p.label()} is not")
-        best = None
-        for a, q2 in simulated.moves(q):
-            matches = [p2 for b, p2 in sim.moves(p) if b == a]
-            if any(removed_round(p2, q2) < 0 for p2 in matches):
-                continue
-            if not matches:
-                steps.append((a, q2))
-                return Counterexample(
-                    steps, f"no move labelled '{a}' from {p.label()}")
-            depth = max(removed_round(p2, q2) for p2 in matches)
-            cand = min(matches, key=lambda p2: removed_round(p2, q2))
             if best is None or depth < best[0]:
                 best = (depth, a, q2, cand)
         assert best is not None, "refuted pair must have a failing move"

@@ -16,8 +16,8 @@ import pytest
 from brts.cli import initial_instance_of
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
-    Transition, _Grid, annotations_of_program, brts_to_lts, check_simulation,
-    compile_predicate, is_flat, load_machine, mca_to_lts, primed, reach_violation,
+    Transition, _counting_simulation, _Grid, _grid_simulation, _grids,
+    annotations_of_program, brts_to_lts, check_simulation, compile_predicate, is_flat, load_machine, mca_to_lts, primed, reach_violation,
 )
 from brts.parser import parse_formula, parse_program
 from brts.presburger import (
@@ -27,8 +27,7 @@ from brts.presburger import (
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
-    counting_simulation, reference_brts_to_lts, reference_reach, reference_simulation,
-    reference_successors,
+    reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -47,11 +46,22 @@ def same_outcome(got, want) -> None:
         assert got.reason == want.reason
 
 
+def one_length(lts: Lts) -> bool:
+    return len({len(s.valuation) for s in lts.states}) == 1
+
+
 def simulation_agrees(sim: Lts, simulated: Lts):
-    """`check_simulation` against both oracles; the Jacobi oracle's outcome."""
+    """`check_simulation` and both of its routes against the Jacobi oracle;
+    the oracle's outcome.  The grid route also runs where its masks would
+    be too large for `check_simulation` to take it, as long as the grids
+    have at most 2**20 pairs of positions."""
     want = reference_simulation(sim, simulated)
-    same_outcome(counting_simulation(sim, simulated), want)
     same_outcome(check_simulation(sim, simulated), want)
+    same_outcome(_counting_simulation(sim, simulated), want)
+    if one_length(sim) and one_length(simulated):
+        ps, qs = _Grid(sim), _Grid(simulated)
+        if ps.size * qs.size <= 1 << 20:
+            same_outcome(_grid_simulation(sim, simulated, ps, qs), want)
     return want
 
 
@@ -92,18 +102,20 @@ def test_simulation_matches_reference_on_random_lts():
 def random_grid_lts(rng: random.Random, tag: str) -> Lts:
     """An LTS over 1-3 controls and 0-3 counters, its states a random
     subset of a box of valuations that reaches below zero: dense enough
-    for the grid layout or sparse enough for its fallback.  Half of the
-    moves repeat one of a few (label, control step, valuation step) shifts,
-    as a counter machine's moves do; the rest go anywhere."""
+    for the grid route or sparse enough for the predecessor counters.  Half
+    of the moves repeat one of a few (label, control step, valuation step)
+    shifts, as a counter machine's moves do; the rest go anywhere."""
     arity = rng.randint(0, 3)
     controls = [f"{tag}{i}" for i in range(rng.randint(1, 3))]
-    ranges = [range(lo, lo + rng.randint(1, 4)) for lo in (rng.randint(-4, 1)
-                                                            for _ in range(arity))]
+    # one in four boxes is spread out, so its states lie sparse on the grid
+    spread = rng.choice([1, 1, 1, 5])
+    ranges = [range(lo, lo + spread * rng.randint(1, 4), spread)
+              for lo in (rng.randint(-4, 1) for _ in range(arity))]
     box = [LtsState(c, v) for c in controls for v in itertools.product(*ranges)]
     states = rng.sample(box, rng.randint(1, min(len(box), 12)))
     present = set(states)
     shifts = [(rng.choice("abc"), rng.randint(0, 2),
-               tuple(rng.randint(-1, 1) for _ in range(arity)))
+               tuple(spread * rng.randint(-1, 1) for _ in range(arity)))
               for _ in range(rng.randint(1, 3))]
     lts = Lts(tuple(f"c{i}" for i in range(arity)), states[0], states=states)
     for s in states:
@@ -127,28 +139,29 @@ def random_grid_lts(rng: random.Random, tag: str) -> Lts:
 def test_simulation_matches_reference_on_random_grids():
     rng = random.Random(20261020)
     outcomes = {"relation": 0, "final": 0, "no move": 0, "longer": 0,
-                "boxed": 0, "dense": 0, "no counters": 0, "three counters": 0}
+                "grid": 0, "counting": 0, "no counters": 0, "three counters": 0}
     for _ in range(1000):
         sim, simulated = random_grid_lts(rng, "p"), random_grid_lts(rng, "q")
         want = simulation_agrees(sim, simulated)
         outcomes[outcome_kind(want)] += 1
         outcomes["longer"] += len(getattr(want, "steps", ())) > 1
+        outcomes["counting" if _grids(sim, simulated) is None else "grid"] += 1
         for lts in (sim, simulated):
-            outcomes["dense" if _Grid(lts).base is None else "boxed"] += 1
             outcomes["no counters"] += not lts.counters
             outcomes["three counters"] += len(lts.counters) == 3
-    # every way the check can end, with each layout and counter count
+    # every way the check can end, by each route, with each counter count
     assert all(n >= 20 for n in outcomes.values()), outcomes
 
 
-def test_sparse_valuations_fall_back_to_dense_positions():
-    """States 10**6 apart would ask for a box of over 10**6 positions per
-    side and 10**12 bits of relation; the fallback lays out the states
-    alone."""
+def test_sparse_or_mixed_valuations_fall_back_to_counters():
+    """States 10**6 apart would ask for a grid of over 10**6 positions per
+    side and 10**12 bits of relation, and valuations of two lengths have
+    no grid: both go to the predecessor counters."""
     far = 10 ** 6
     sides = []
     for tag, valuations in [("p", [(0, 0, 0), (far, -far, 3), (-far, far, -3), (1, 0, far)]),
-                            ("q", [(0, 0, 0), (far, -far, 3), (-far, far, -3)])]:
+                            ("q", [(0, 0, 0), (far, -far, 3), (-far, far, -3)]),
+                            ("r", [(0,), (0, 1), (1,)])]:
         states = [LtsState(tag, v) for v in valuations]
         lts = Lts(("c0", "c1", "c2"), states[0], states=states)
         for s, t in zip(states, states[1:] + states[:1]):
@@ -156,10 +169,9 @@ def test_sparse_valuations_fall_back_to_dense_positions():
         lts.actions = {"a", "b"}
         lts.finals = {states[-1]}
         sides.append(lts)
-    sim, simulated = sides
-    assert _Grid(sim).base is None and _Grid(sim).size == 4
     started = time.perf_counter()
-    for pair in [(sim, simulated), (simulated, sim), (sim, sim)]:
+    for pair in itertools.product(sides, repeat=2):
+        assert _grids(*pair) is None
         simulation_agrees(*pair)
     assert time.perf_counter() - started < 1.0
 
@@ -204,13 +216,19 @@ def test_deletion_counterexample_matches_reference(case, label, bound):
 
 @pytest.mark.parametrize("case, most", [("prodcons", 4), ("dyck", 5)])
 def test_corpus_moves_share_few_shifts(case, most):
-    """At the largest benchmark bound each side of a corpus case lays out
-    on the grid, and its moves form at most `most` (label, shift) groups:
-    one group per move, as with dense positions, would be hundreds."""
-    for lts in corpus_lts(case, 15):
-        grid = _Grid(lts)
-        assert grid.base is not None
-        assert len(grid.shift_groups(lts)) <= most
+    """At the largest benchmark bound a corpus case takes the grid route,
+    and the moves of each side form at most `most` (label, shift) groups:
+    one group per move would be hundreds."""
+    grids = _grids(*corpus_lts(case, 15))
+    assert grids is not None
+    assert all(len(grid.groups) <= most for grid in grids)
+
+
+def test_sparse_corpus_grid_takes_the_counters():
+    """The train's braking counter moves only in one of its four controls,
+    and its resets give a shift per value: at bound 15 the grid's masks
+    would take more than `MASK_BITS` bits per pair of states."""
+    assert _grids(*corpus_lts("train", 15)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -66,19 +66,31 @@ def string_literal_case(source: str, want) -> bool:
     """Whether the oracle's outcome `want` may differ from the parser's
     because of a string literal: one in `source` spells what the oracle
     misreads it as, or the oracle fails at one."""
+    strings = string_spans(source)
+    return any(lexeme in MISREAD for lexeme in strings.values()) or (
+        want[0] == "error" and want[4] in strings)
+
+
+def string_spans(source: str) -> dict[Span, str]:
+    """The span and lexeme of each string literal of `source`."""
     try:
-        strings = [t for t in spanned(source) if t.kind == "string"]
+        return {t.span: t.lexeme for t in spanned(source) if t.kind == "string"}
     except BrtsError:
-        return False
-    return any(t.lexeme in MISREAD for t in strings) or (
-        want[0] == "error" and any(t.span == want[4] for t in strings))
+        return {}
 
 
 def assert_same_parse(source: str, *names: str) -> None:
+    """The parser's outcome equals the oracle's; where a string literal may
+    make them differ, it is instead a parse error located at a string
+    literal of the source."""
     for name in names or ("parse_program", "parse_formula", "parse_term"):
         want = parsed(getattr(parser_oracle, name), source)
-        if not string_literal_case(source, want):
-            assert parsed(getattr(parser, name), source) == want, (name, source[:200])
+        got = parsed(getattr(parser, name), source)
+        if got == want:
+            continue
+        assert string_literal_case(source, want), (name, source[:200], got, want)
+        assert got[:3] == ("error", "BrtsError", "ParseError"), (name, source[:200], got)
+        assert got[4] in string_spans(source), (name, source[:200], got)
 
 
 def formula_pieces(source: str) -> list[str]:
