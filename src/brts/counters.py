@@ -481,8 +481,8 @@ class _Grid:
 
 
 # the most bits of masks per pair of states for which `check_simulation`
-# refines on the grid; the predecessor counters take about 500 bits of
-# memory per pair
+# refines on the grid: below the 300 to 1500 bits per pair at which the
+# predecessor counters peak on the corpus at bounds 15 to 25
 MASK_BITS = 256
 
 
