@@ -8,15 +8,15 @@ counter magnitudes exceed the bound are not explored, which is what makes
 simulation checking and reachability both runnable and exact on the
 explored window.
 
-Guards are solved directly over the integers.  Their shape (a conjunction
-of comparisons over at most two variables with unit coefficients) lets unit
-equations pin a primed counter from known values.  Which counter each
-equation pins depends only on the guard, so every guard is compiled once,
-when its machine is built, into a generated Python function.  Per state it
-assigns the framed and pinned primed counters, tests them against the bound
-and tests the atoms already known; then one `itertools.product` enumerates
-the primed counters still free over the bound, and each candidate costs a
-test of the remaining atoms.
+Guards are solved directly over the integers, each compiled once into a
+generated Python function: a machine's guards when it is built, and every
+typestate contract, read as a guard over the coordinates, their primed
+copies and its logical variables, when an LTS first grounds it.  Which
+variable each unit equation pins depends only on the guard, so the
+propagation runs at compile time.  Per state the function assigns the
+pinned values, tests them against the bound and tests the atoms already
+known; then one `itertools.product` enumerates the variables still free over
+the bound, and each candidate costs a test of the remaining atoms.
 
 Simulation is the greatest relation left by round-based (Jacobi)
 refinement, run bit-parallel: the relation is one Python int over pairs of
@@ -32,9 +32,10 @@ import itertools
 import json
 from array import array
 from collections import Counter, deque
+from functools import lru_cache
 from itertools import compress
 from operator import mul
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagnostics import BrtsError
 from .parser import parse_formula
@@ -82,19 +83,25 @@ class CounterMachine:
 
     def __post_init__(self) -> None:
         names = set(self.counters) | {primed(c) for c in self.counters}
+        primes = tuple(primed(c) for c in self.counters)
         self._outgoing: dict[str, list[tuple[str, str, Callable]]] = {}
         for t in self.transitions:
             if t.src not in self.states or t.dst not in self.states:
                 raise MachineError("UnknownState",
                                    f"transition {t.label} uses an undeclared state")
-            extra = free_vars(t.guard) - names
+            mentioned = free_vars(t.guard)
+            extra = mentioned - names
             if extra:
                 raise MachineError(
                     "UnknownCounter",
                     f"guard of '{t.label}' mentions unknown names: {sorted(extra)}")
             _check_guard_shape(t.guard, t.label)
+            # a primed counter the guard never mentions keeps its value
+            frame = [eq(Var(p), Var(c)) for c, p in zip(self.counters, primes)
+                     if p not in mentioned]
             self._outgoing.setdefault(t.src, []).append(
-                (t.label, t.dst, _compile_guard(t.guard, self.counters)))
+                (t.label, t.dst,
+                 _compile_guard(frame + _guard_atoms(t.guard), self.counters, primes, primes)))
 
     def successors(self, state: str, valuation: tuple[int, ...],
                    bound: int) -> Iterable[tuple[str, str, tuple[int, ...]]]:
@@ -104,9 +111,9 @@ class CounterMachine:
                 yield label, dst, nxt
 
 
-def _guard_atoms(guard: Formula) -> tuple[Formula, ...]:
+def _guard_atoms(guard: Formula) -> list[Formula]:
     atoms = guard.parts if isinstance(guard, And) else (guard,)
-    return tuple(a for a in atoms if not isinstance(a, TrueF))
+    return [a for a in atoms if not isinstance(a, TrueF)]
 
 
 def _check_guard_shape(guard: Formula, label: str) -> None:
@@ -122,62 +129,77 @@ def _check_guard_shape(guard: Formula, label: str) -> None:
                 f"guard atom of '{label}' is not of the form x # y + c or x # c")
 
 
-def _compile_guard(guard: Formula, counters: tuple[str, ...]) -> Callable:
-    """Compile a guard into `solutions(valuation, bound)`, a generator of
-    the next valuations it allows from `valuation`, in the order of the
-    free primed counters' product over the bound.
+def _compile_guard(atoms: list[Formula], counters: tuple[str, ...],
+                   unknowns: tuple[str, ...], outputs: tuple[str, ...]) -> Callable:
+    """Compile the conjunction of `atoms` into `solutions(valuation, bound)`,
+    a generator of the `outputs` values it allows from `valuation`, the
+    values of `counters`, in the product order of `unknowns` over the bound.
 
-    Unmentioned primed counters are framed to their current value; a unit
-    equation (every variable known but one, whose coefficient is +1 or -1)
-    pins that one; the rest range over the bound.  Which primed counter an
-    equation pins depends only on the guard, so the propagation runs here,
-    once.  The source names counter i `v<i>` and its primed copy `w<i>`;
-    nothing else but int literals enters it."""
-    atoms = _guard_atoms(guard)
-    mentioned = free_vars(guard)
+    A unit equation (every variable known but one, whose coefficient is +1
+    or -1) pins that one, and a pinned value outside the bound rules out
+    its candidate.  Before the product only what the counters determine is
+    pinned, so the product runs over the unknowns still free, in their
+    order; inside it the outputs left are pinned.  Each atom is tested once
+    its variables are known: a comparison inline, any other formula by its
+    own `compile_predicate`.  The source names counter i `v<i>`, output i
+    `w<i>` and unknown i `x<i>`; nothing else but int literals enters it."""
+    atoms = list(atoms)
     names = {c: f"v{i}" for i, c in enumerate(counters)}
+    slots = {u: f"x{i}" for i, u in enumerate(unknowns)}
+    slots.update((o, f"w{i}") for i, o in enumerate(outputs))
+    namespace: dict = {"product": itertools.product}
+
+    def settle() -> tuple[list[str], list[str]]:
+        """Pins and tests of what the names known so far decide."""
+        pins, tests = [], []
+        changed = True
+        while changed:
+            changed = False
+            for a in list(atoms):
+                if not isinstance(a, EqZ):
+                    continue
+                unknown = [v for v in a.lin.coeffs if v not in names]
+                if len(unknown) == 1 and abs(a.lin.coeffs[unknown[0]]) == 1:
+                    # c*v + rest == 0 with c = +1 or -1, so v = -c * rest, and
+                    # the equation holds by construction
+                    v = unknown[0]
+                    c = a.lin.coeffs[v]
+                    rest = {u: -c * d for u, d in a.lin.coeffs.items() if u != v}
+                    names[v] = slots[v]
+                    pins.append(f"{names[v]} = {_lin_source(rest, -c * a.lin.const, names)}")
+                    tests.append(f"-bound <= {names[v]} <= bound")
+                    atoms.remove(a)
+                    changed = True
+        for a in [a for a in atoms if free_vars(a) <= names.keys()]:
+            atoms.remove(a)
+            if isinstance(a, (And, Or, Not)):
+                args = sorted(free_vars(a))
+                test = f"t{len(namespace)}"
+                namespace[test] = compile_predicate(a, tuple(args))
+                tests.append(f"{test}(({''.join(names[v] + ', ' for v in args)}))")
+            else:
+                tests.append(_formula_source(a, names))
+        return pins, tests
+
     body = [f"{', '.join(names.values())}, = valuation"] if counters else []
-    for i, c in enumerate(counters):
-        if primed(c) not in mentioned:
-            names[primed(c)] = f"w{i}"
-            body.append(f"w{i} = v{i}")
-    fixed = {primed(c): f"w{i}" for i, c in enumerate(counters)}
-    unused = list(range(len(atoms)))     # atoms still to be tested
-    changed = True
-    while changed:
-        changed = False
-        for j, a in enumerate(atoms):
-            unknown = [v for v in a.lin.coeffs if v not in names]
-            if isinstance(a, EqZ) and len(unknown) == 1:
-                # c*v + rest == 0 with c = +1 or -1, so v = -c * rest, and
-                # the equation holds by construction
-                v = unknown[0]
-                c = a.lin.coeffs[v]
-                rest = {u: -c * d for u, d in a.lin.coeffs.items() if u != v}
-                names[v] = fixed[v]
-                body.append(f"{names[v]} = {_lin_source(rest, -c * a.lin.const, names)}")
-                unused.remove(j)
-                changed = True
-    # a fixed value outside the bound, or a fully known atom that fails,
-    # rules out every candidate
-    known = [j for j in unused if atoms[j].lin.coeffs.keys() <= names.keys()]
-    tests = [f"-bound <= {w} <= bound" for p, w in fixed.items() if p in names]
-    tests += [_atom_source(atoms[j], names) for j in known]
+    pins, tests = settle()
+    body += pins
     if tests:
+        # a known test that fails rules out every candidate
         body.append(f"if not ({' and '.join(tests)}):\n        return")
-    free = [w for p, w in fixed.items() if p not in names]
-    names.update(fixed)
-    result = f"yield ({''.join(w + ', ' for w in fixed.values())})"
+    result = f"yield ({''.join(slots[o] + ', ' for o in outputs)})"
+    free = [slots[u] for u in unknowns if u not in names]
     if free:
+        names.update((u, slots[u]) for u in unknowns)
+        pins, tests = settle()
         body.append(f"for {', '.join(free)}, in product(range(-bound, bound + 1), "
                     f"repeat={len(free)}):")
-        checks = [_atom_source(atoms[j], names) for j in unused if j not in known]
-        if checks:
-            body.append(f"    if {' and '.join(checks)}:")
+        if tests:
+            pins.append(f"if {' and '.join(tests)}:")
             result = "    " + result
-        result = "    " + result
-    body.append(result)
-    namespace = {"product": itertools.product}
+        body += ["    " + line for line in pins + [result]]
+    else:
+        body.append(result)
     exec("def solutions(valuation, bound):\n    " + "\n    ".join(body), namespace)
     return namespace["solutions"]
 
@@ -203,17 +225,12 @@ def _atom_source(atom: Formula, names: dict[str, str]) -> str:
 # Labeled transition systems
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class LtsState:
+class LtsState(NamedTuple):
     control: str
     valuation: tuple[int, ...]
 
     def label(self) -> tuple:
         return (self.control, self.valuation)
-
-    def __hash__(self) -> int:
-        # the record's hash, written out: every LTS build hashes each state
-        return hash((self.control, self.valuation))
 
 
 @record
@@ -252,7 +269,7 @@ def mca_to_lts(machine: CounterMachine, bound: int) -> Lts:
                            "initial valuation exceeds the bound")
     init = LtsState(machine.initial, machine.init_valuation)
     lts = Lts(machine.counters, init)
-    seen = {(init.control, init.valuation): init}
+    seen = {init: init}
     queue = deque([init])
     while queue:
         cur = queue.popleft()
@@ -329,7 +346,7 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     init = LtsState(initial.state, tuple(a.const for a in initial.args))
     counters = tuple(f"c{i}" for i in range(len(init.valuation)))
     lts = Lts(counters, init)
-    seen = {(init.control, init.valuation): init}
+    seen = {init: init}
     queue = deque([init])
 
     def substate(sub: str, sup: str) -> bool:
@@ -337,10 +354,11 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
             return table.is_substate(sub, sup)
         return sub == sup
 
-    # contracts compiled once, and the ones that apply at a control state
-    # and valuation length
-    compiled = [_Contract(ann) for ann in annotations if ann.family == initial.family]
-    applicable: dict[tuple[str, int], list[_Contract]] = {}
+    # each contract's successor function, and the contracts that apply at a
+    # control state and valuation length
+    compiled = [(ann, _compile_contract(ann)) for ann in annotations
+                if ann.family == initial.family]
+    applicable: dict[tuple[str, int], list[tuple[Annotation, Callable]]] = {}
     while queue:
         cur = queue.popleft()
         lts.states.append(cur)
@@ -348,15 +366,12 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
         contracts = applicable.get(key)
         if contracts is None:
             contracts = applicable[key] = [
-                c for c in compiled if len(c.ann.pre_args) == len(cur.valuation)
-                and substate(cur.control, c.ann.pre_state)]
+                (ann, successors) for ann, successors in compiled
+                if len(ann.pre_args) == len(cur.valuation)
+                and substate(cur.control, ann.pre_state)]
         moves = []
-        for c in contracts:
-            ann = c.ann
-            for sigma in c.matches(cur.valuation, bound):
-                post_val = tuple(lin.evaluate(sigma) for lin in c.post)
-                if any(abs(v) > bound for v in post_val):
-                    continue
+        for ann, successors in contracts:
+            for post_val in successors(cur.valuation, bound):
                 nxt = seen.get((ann.post_state, post_val))
                 if nxt is None:
                     nxt = seen[(ann.post_state, post_val)] = LtsState(ann.post_state, post_val)
@@ -369,51 +384,30 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     return lts
 
 
-class _Contract:
-    """A contract prepared for matching valuations.
+@lru_cache(maxsize=256)
+def _compile_contract(ann: Annotation) -> Callable:
+    """`successors(valuation, bound)` of a contract: the post valuations of
+    its instantiations that agree with `valuation` and both constraints, with
+    every logical variable and post coordinate within the bound, in product
+    order of the sorted logical variables over the bound.
 
-    A pre argument that is a plain variable pins that variable to its
-    coordinate (the last such position wins); every other pre argument is
-    an equality to check.  The remaining logical variables, those of the
-    constraints and the arguments that no position pins, range over the
-    bound."""
-
-    def __init__(self, ann: Annotation):
-        self.ann = ann
-        pre = ann.pre_args
-        self.post = ann.post_args
-        self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
-        pins: dict[str, int] = {}
-        for i, lin in enumerate(pre):
-            if lin.const == 0 and len(lin.coeffs) == 1:
-                (v, c), = lin.coeffs.items()
-                if c == 1:
-                    pins[v] = i
-        self.pins = tuple(pins.items())
-        pinned_at = set(pins.values())
-        self.checks = tuple((lin, i) for i, lin in enumerate(pre) if i not in pinned_at)
-        names = set(free_vars(self.constraint))
-        for lin in itertools.chain(pre, self.post):
-            names.update(lin.coeffs)
-        self.rest = tuple(sorted(names - pins.keys()))
-
-    def holds(self, valuation: tuple[int, ...], env: dict[str, int]) -> bool:
-        return (all(lin.evaluate(env) == valuation[i] for lin, i in self.checks)
-                and evaluate(self.constraint, env))
-
-    def matches(self, valuation: tuple[int, ...], bound: int):
-        """Instantiations of the logical variables consistent with the
-        valuation and both side constraints, in product order of the
-        remaining variables over the bound."""
-        sigma = {v: valuation[i] for v, i in self.pins}
-        if not self.rest:
-            if self.holds(valuation, sigma):
-                yield sigma
-            return
-        for combo in itertools.product(range(-bound, bound + 1), repeat=len(self.rest)):
-            env = {**sigma, **dict(zip(self.rest, combo))}
-            if self.holds(valuation, env):
-                yield env
+    A plain-variable pre argument names its coordinate (the last such
+    position wins).  Any other pre argument i is the equation `i == pre_i`,
+    post argument i is `i' == post_i`, and with the constraints they form a
+    guard for `_compile_guard`.  Equal contracts share one function, since
+    `annotations_of_program` builds new ones on every call."""
+    plain = {next(iter(lin.coeffs)): i for i, lin in enumerate(ann.pre_args)
+             if lin.const == 0 and list(lin.coeffs.values()) == [1]}
+    coordinate = {i: v for v, i in plain.items()}
+    # digits name what no program identifier can
+    counters = tuple(coordinate.get(i, str(i)) for i in range(len(ann.pre_args)))
+    outputs = tuple(primed(str(i)) for i in range(len(ann.post_args)))
+    constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
+    atoms = [eq(Var(c), lin) for c, lin in zip(counters, ann.pre_args) if c not in plain]
+    atoms += [eq(Var(o), lin) for o, lin in zip(outputs, ann.post_args)]
+    logical = set(free_vars(constraint)).union(*(a.coeffs for a in ann.pre_args + ann.post_args))
+    return _compile_guard(atoms + _guard_atoms(constraint), counters,
+                          tuple(sorted(logical - plain.keys())), outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1007,11 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
         try:
             if head == "counters":
                 counters = tuple(rest.split())
+                twice = sorted({c for c in counters if counters.count(c) > 1})
+                if twice:
+                    raise MachineError("ParseError",
+                                       f"{name}:{lineno}: counter '{twice[0]}' is "
+                                       f"declared twice")
             elif head == "state":
                 states.append(rest)
             elif head == "init":

@@ -12,7 +12,10 @@ or its moves share few shifts.  `reference_successors` grounds a machine
 guard with `substitute` + `simplify`, pins primed counters by unit
 equations and enumerates the rest.  `reference_reach` is the breadth-first
 search over `reference_successors`, with quantifiers decided by bounded
-search instead of elimination.  All are slow and obviously faithful to the
+search instead of elimination.  `Contract` is the contract matcher that
+`brts_to_lts` ran before contracts were compiled: it pins only plain-variable
+pre arguments and evaluates every other candidate; `contract_matches` plugs
+it into `reference_brts_to_lts`.  All are slow and obviously faithful to the
 definitions, which is what an oracle is for.
 """
 
@@ -20,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 
 from brts.counters import (
     Annotation, CounterMachine, Counterexample, Lts, LtsState, SimulationRelation,
     primed,
 )
 from brts.presburger import (
-    And, Const, EqZ, Exists, Formula, Not, Or, TRUE, conj, eq, evaluate, free_vars,
-    simplify, substitute,
+    And, Const, EqZ, Exists, Formula, Not, Or, TRUE, conj, eq, eliminate_quantifiers,
+    evaluate, free_vars, simplify, substitute,
 )
 
 
@@ -180,9 +184,12 @@ def bounded_evaluate(f: Formula, env: dict[str, int], radius: int) -> bool:
     return evaluate(f, env)
 
 
-def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -> Lts:
-    """`brts_to_lts` matching every contract at every state through
-    `reference_match_args`.  The initial instance is taken as valid."""
+def reference_brts_to_lts(annotations, initial, bound, table=None, final=None,
+                          match=None) -> Lts:
+    """`brts_to_lts` matching every contract at every state through `match`,
+    by default `reference_match_args`.  The initial instance is taken as
+    valid."""
+    match = match or reference_match_args
     init = LtsState(initial.state, tuple(a.const for a in initial.args))
     lts = Lts(tuple(f"c{i}" for i in range(len(init.valuation))), init)
     seen = {(init.control, init.valuation): init}
@@ -198,7 +205,7 @@ def reference_brts_to_lts(annotations, initial, bound, table=None, final=None) -
                             else cur.control == ann.pre_state))
             if not applies:
                 continue
-            for sigma in reference_match_args(ann, cur.valuation, bound):
+            for sigma in match(ann, cur.valuation, bound):
                 post_val = tuple(a.evaluate(sigma) for a in ann.post_args)
                 if any(abs(v) > bound for v in post_val):
                     continue
@@ -241,3 +248,60 @@ def reference_match_args(ann: Annotation, valuation: tuple[int, ...], bound: int
         env = dict(zip(rest, combo))
         if evaluate(grounded, env):
             yield {**sigma, **env}
+
+
+class Contract:
+    """A contract prepared for matching valuations.
+
+    A pre argument that is a plain variable pins that variable to its
+    coordinate (the last such position wins); every other pre argument is
+    an equality to check.  The remaining logical variables, those of the
+    constraints and the arguments that no position pins, range over the
+    bound."""
+
+    def __init__(self, ann: Annotation):
+        self.ann = ann
+        pre = ann.pre_args
+        self.post = ann.post_args
+        self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
+        pins: dict[str, int] = {}
+        for i, lin in enumerate(pre):
+            if lin.const == 0 and len(lin.coeffs) == 1:
+                (v, c), = lin.coeffs.items()
+                if c == 1:
+                    pins[v] = i
+        self.pins = tuple(pins.items())
+        pinned_at = set(pins.values())
+        self.checks = tuple((lin, i) for i, lin in enumerate(pre) if i not in pinned_at)
+        names = set(free_vars(self.constraint))
+        for lin in itertools.chain(pre, self.post):
+            names.update(lin.coeffs)
+        self.rest = tuple(sorted(names - pins.keys()))
+
+    def holds(self, valuation: tuple[int, ...], env: dict[str, int]) -> bool:
+        return (all(lin.evaluate(env) == valuation[i] for lin, i in self.checks)
+                and evaluate(self.constraint, env))
+
+    def matches(self, valuation: tuple[int, ...], bound: int):
+        """Instantiations of the logical variables consistent with the
+        valuation and both side constraints, in product order of the
+        remaining variables over the bound."""
+        sigma = {v: valuation[i] for v, i in self.pins}
+        if not self.rest:
+            if self.holds(valuation, sigma):
+                yield sigma
+            return
+        for combo in itertools.product(range(-bound, bound + 1), repeat=len(self.rest)):
+            env = {**sigma, **dict(zip(self.rest, combo))}
+            if self.holds(valuation, env):
+                yield env
+
+
+@lru_cache(maxsize=None)
+def _contract(ann: Annotation) -> Contract:
+    return Contract(ann)
+
+
+def contract_matches(ann: Annotation, valuation: tuple[int, ...], bound: int):
+    """`match` for `reference_brts_to_lts` through `Contract`."""
+    return _contract(ann).matches(valuation, bound)

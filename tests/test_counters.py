@@ -84,6 +84,15 @@ def test_parse_machine_shape():
     assert formula_equal(m.invariant, parse_formula("p >= c"))
 
 
+def test_parse_machine_rejects_a_counter_declared_twice():
+    # the guard compiler would unpack a valuation of two into one name
+    with pytest.raises(MachineError) as err:
+        parse_machine("counters a a\nstate s\ninit s 0 0\ntrans s -> s : t : a' == a + 1\n",
+                      "dup")
+    assert err.value.kind == "ParseError"
+    assert str(err.value) == "dup:1: counter 'a' is declared twice"
+
+
 def test_mca_to_lts_contains_consume_edge():
     lts = mca_to_lts(prodcons_machine(), bound=3)
     src = LtsState("open", (2, 0))
@@ -101,6 +110,30 @@ def test_successors_run_compiled_guards(monkeypatch):
 
     monkeypatch.setattr("brts.counters.evaluate", evaluate)
     assert mca_to_lts(machine, bound=3).size() == 20
+
+
+def test_lts_state_keeps_its_record_behaviour():
+    state = LtsState("open", (2, 0))
+    assert repr(state) == "LtsState(control='open', valuation=(2, 0))"
+    assert state.label() == ("open", (2, 0))
+    assert state == LtsState("open", (2, 0)) and hash(state) == hash(LtsState("open", (2, 0)))
+    # the hash of the fields' tuple, as the record's was
+    assert hash(state) == hash(("open", (2, 0)))
+    assert state != LtsState("open", (2, 1)) and state != LtsState("close", (2, 0))
+    assert len({state, LtsState("open", (2, 0)), LtsState("close", (2, 0))}) == 2
+
+
+def test_brts_to_lts_runs_compiled_contracts(monkeypatch):
+    # contracts are compiled before the states are explored, so grounding
+    # never goes back to the generic formula evaluator
+    table, anns = prodcons_annotations()
+    initial = InstanceType("SB", (Const(0), Const(0)), TRUE, "ClosedBuffer")
+
+    def evaluate(*args):
+        raise AssertionError("brts_to_lts evaluated a contract formula")
+
+    monkeypatch.setattr("brts.counters.evaluate", evaluate)
+    assert brts_to_lts(anns, initial, bound=3, table=table).size() == 20
 
 
 def test_mca_to_lts_no_transitions():

@@ -6,6 +6,7 @@ elementary cycles."""
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,21 +14,22 @@ from pathlib import Path
 
 import pytest
 
+from brts import counters
 from brts.cli import initial_instance_of
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, SimulationRelation,
-    Transition, _counting_simulation, _Grid, _grid_simulation, _grids,
+    Transition, _compile_contract, _counting_simulation, _Grid, _grid_simulation, _grids,
     annotations_of_program, brts_to_lts, check_simulation, compile_predicate, is_flat, load_machine, mca_to_lts, primed, reach_violation,
 )
 from brts.parser import parse_formula, parse_program
 from brts.presburger import (
     TRUE, Const, Dvd, NotDvd, Var, conj, disj, eliminate_quantifiers, eq, evaluate,
-    le, neg,
+    exists, le, neg,
 )
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
-    reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
+    contract_matches, reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -318,6 +320,118 @@ def test_brts_to_lts_matches_reference_on_random_contracts():
         same_lts(got, want)
         compared += 1
     assert compared >= 300 and excluded >= 20, (compared, excluded)
+
+
+# the compiled contracts against the matcher they replaced
+
+PROGRAM_NAMES = ("alpha", "beta", "gamma")
+
+
+def drawn_pre_args(rng: random.Random, arity: int) -> tuple:
+    """Pre arguments over PROGRAM_NAMES: a bare variable, `n + 1`, `2 * n`,
+    a constant, and sometimes one variable in two positions."""
+    def one():
+        v = Var(rng.choice(PROGRAM_NAMES))
+        kind = rng.choice(["bare", "bare", "shift", "double", "ground"])
+        return {"bare": v, "shift": v + 1, "double": 2 * v,
+                "ground": Const(rng.randint(-1, 1))}[kind]
+
+    args = [one() for _ in range(arity)]
+    if arity > 1 and rng.random() < 0.25:
+        args[1] = args[0]
+    return tuple(args)
+
+
+def drawn_constraint(rng: random.Random):
+    """A conjunction over PROGRAM_NAMES, some of them in no pre argument,
+    with disjunctions and existentials among its parts."""
+    def atom():
+        a, b = Var(rng.choice(PROGRAM_NAMES)), Var(rng.choice(PROGRAM_NAMES))
+        shift = rng.randint(-1, 1)
+        return eq(a, b + shift) if rng.random() < 0.3 else le(a, b + shift)
+
+    def part():
+        kind = rng.choice(["atom", "atom", "or", "exists", "not"])
+        if kind == "or":
+            return disj(atom(), atom())
+        if kind == "exists":
+            # alpha is even, or lies between two names
+            if rng.random() < 0.5:
+                return exists("t", eq(Var(rng.choice(PROGRAM_NAMES)), 2 * Var("t")))
+            a, b = rng.sample(PROGRAM_NAMES, 2)
+            return exists("t", conj(le(Var(a), Var("t")), le(Var("t"), Var(b))))
+        if kind == "not":
+            return neg(conj(atom(), atom()))
+        return atom()
+
+    parts = [part() for _ in range(rng.choice([0, 1, 1, 2]))]
+    return conj(*parts) if parts else TRUE
+
+
+def drawn_contract(rng: random.Random, label: str, arity: int) -> Annotation:
+    post = tuple(Var(rng.choice(PROGRAM_NAMES)) + rng.randint(-1, 1) if rng.random() < 0.85
+                 else Const(rng.randint(-1, 1)) for _ in range(arity))
+    return Annotation(label, "F", rng.choice("AB"), drawn_pre_args(rng, arity),
+                      drawn_constraint(rng), rng.choice("AB"), post, drawn_constraint(rng))
+
+
+def test_compiled_contracts_match_the_contract_oracle():
+    """Seeded random contracts at bounds 0-4: the same states, the same
+    transitions in the same order, and the same finals as the matcher that
+    evaluates every candidate."""
+    rng = random.Random(1903)
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        annotations = [drawn_contract(rng, label, arity)
+                       for label in "abc"[:rng.randint(1, 3)]]
+        initial = InstanceType("F", tuple(Const(rng.randint(-1, 1)) for _ in range(arity)),
+                               TRUE, rng.choice("AB"))
+        for bound in range(5 if arity < 3 else 3):
+            same_lts(brts_to_lts(annotations, initial, bound, final=even_sum),
+                     reference_brts_to_lts(annotations, initial, bound, final=even_sum,
+                                           match=contract_matches))
+
+
+def generated_sources(monkeypatch, ann: Annotation) -> list[str]:
+    """The source of every function compiling `ann` generates."""
+    sources = []
+
+    def spy(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    _compile_contract.cache_clear()
+    monkeypatch.setattr(counters, "exec", spy, raising=False)
+    try:
+        _compile_contract(ann)
+    finally:
+        _compile_contract.cache_clear()
+    return sources
+
+
+GENERATED_WORDS = re.compile(r"(def|solutions|holds|valuation|bound|if|not|and|or|return|for|in|yield|"
+                             r"product|range|repeat|True|False|[vwxt]\d+)")
+
+
+def test_generated_contract_source_holds_only_generated_names(monkeypatch):
+    rng = random.Random(1904)
+    for _ in range(60):
+        ann = drawn_contract(rng, "alpha", rng.randint(1, 3))
+        for source in generated_sources(monkeypatch, ann):
+            words = re.findall(r"[A-Za-z_]\w*", source)
+            assert all(GENERATED_WORDS.fullmatch(w) for w in words), source
+            assert not any(name in source for name in PROGRAM_NAMES + ("'",)), source
+
+
+def test_a_shifted_pre_argument_pins_its_variable(monkeypatch):
+    shift = Annotation("dec", "F", "A", (Var("alpha") + 1,), TRUE, "A", (Var("alpha"),), TRUE)
+    double = Annotation("half", "F", "A", (2 * Var("alpha"),), TRUE, "A", (Var("alpha"),), TRUE)
+    assert not any("product" in s for s in generated_sources(monkeypatch, shift))
+    assert any("product" in s for s in generated_sources(monkeypatch, double))
+    # from -2, alpha would be -3, outside the bound it used to range over
+    lts = brts_to_lts([shift], InstanceType("F", (Const(2),), TRUE, "A"), 2)
+    assert [s.valuation for s in lts.states] == [(2,), (1,), (0,), (-1,), (-2,)]
+    assert lts.moves(LtsState("A", (-2,))) == ()
 
 
 # ---------------------------------------------------------------------------

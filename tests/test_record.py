@@ -69,7 +69,7 @@ def hash_or_unhashable(obj):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 71
+    assert len(RECORDS) == 70
     assert NOT_FROZEN <= {c.__name__ for c in RECORDS}
 
 
