@@ -260,9 +260,7 @@ class Contract:
     bound."""
 
     def __init__(self, ann: Annotation):
-        self.ann = ann
         pre = ann.pre_args
-        self.post = ann.post_args
         self.constraint = eliminate_quantifiers(conj(ann.pre_constraint, ann.post_constraint))
         pins: dict[str, int] = {}
         for i, lin in enumerate(pre):
@@ -274,7 +272,7 @@ class Contract:
         pinned_at = set(pins.values())
         self.checks = tuple((lin, i) for i, lin in enumerate(pre) if i not in pinned_at)
         names = set(free_vars(self.constraint))
-        for lin in itertools.chain(pre, self.post):
+        for lin in itertools.chain(pre, ann.post_args):
             names.update(lin.coeffs)
         self.rest = tuple(sorted(names - pins.keys()))
 
@@ -297,7 +295,7 @@ class Contract:
                 yield env
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _contract(ann: Annotation) -> Contract:
     return Contract(ann)
 

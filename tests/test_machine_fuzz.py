@@ -12,12 +12,12 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from brts import cli
+from brts.counters import load_machine
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 # (machine text, its first counter, program text) for every machine and
 # mutant of a case against each program of that case that `check` accepts
-PAIRS = [(mca.read_text(), mca.read_text().split("counters", 1)[1].split()[0],
-          brts.read_text())
+PAIRS = [(mca.read_text(), load_machine(mca).counters[0], brts.read_text())
          for case in sorted(p for p in CORPUS.iterdir() if p.is_dir())
          for mca in sorted(case.glob("*.mca"))
          for brts in sorted(case.glob("good*.brts"))]
