@@ -341,8 +341,9 @@ def cmd_explain(args) -> int:
         print(f"  incoming: {ob.phi}")
         print(f"  obligation: {ob.goal}")
         print(f"  verdict: {'valid' if ob.verdict else 'invalid'}")
-        if ob.countermodel is not None:
-            inside = ", ".join(f"{k} = {v}" for k, v in sorted(ob.countermodel.items()))
+        model = ob.countermodel
+        if model is not None:
+            inside = ", ".join(f"{k} = {v}" for k, v in sorted(model.items()))
             print(f"  countermodel: {inside}")
     return EXIT_OK
 

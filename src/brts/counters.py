@@ -18,6 +18,12 @@ pinned values, tests them against the bound and tests the atoms already
 known; then one `itertools.product` enumerates the variables still free over
 the bound, and each candidate costs a test of the remaining atoms.
 
+Both transition systems, of a machine and of a program's contracts, come
+from one breadth-first walk (`_explore`) over a successor function: the
+machine's `successors`, or the compiled contracts that apply at a state.
+An `Lts` holds its initial state, its states in the order the walk found
+them, the moves of each and its final states.
+
 Simulation is the greatest relation left by round-based (Jacobi)
 refinement, run bit-parallel: the relation is one Python int over pairs of
 state positions, and each side lays its states out on a grid over
@@ -235,22 +241,10 @@ class LtsState(NamedTuple):
 
 @record
 class Lts:
-    counters: tuple[str, ...]
     initial: LtsState
     states: list[LtsState]
     transitions: dict[LtsState, tuple[tuple[str, LtsState], ...]]
     finals: set[LtsState]
-    actions: set[str]
-
-    def __init__(self, counters, initial, states=None, transitions=None, finals=None,
-                 actions=None):
-        # each container omitted starts empty and is the instance's own
-        self.counters = counters
-        self.initial = initial
-        self.states = [] if states is None else states
-        self.transitions = {} if transitions is None else transitions
-        self.finals = set() if finals is None else finals
-        self.actions = set() if actions is None else actions
 
     def moves(self, s: LtsState) -> tuple[tuple[str, LtsState], ...]:
         return self.transitions.get(s, ())
@@ -259,32 +253,41 @@ class Lts:
         return len(self.states)
 
 
+def _explore(init: LtsState,
+             successors: Callable[[LtsState], Iterable[tuple[str, str, tuple[int, ...]]]]
+             ) -> tuple[list[LtsState], dict[LtsState, tuple[tuple[str, LtsState], ...]]]:
+    """The states reachable from `init` in breadth-first order, and the
+    moves of each, in the order `successors` gives its (label, control,
+    valuation) steps."""
+    states = [init]
+    seen = {init: init}
+    transitions = {}
+    for cur in states:      # the list grows as it is walked
+        moves = []
+        for label, dst, val in successors(cur):
+            nxt = seen.get((dst, val))
+            if nxt is None:
+                nxt = seen[(dst, val)] = LtsState(dst, val)
+                states.append(nxt)
+            moves.append((label, nxt))
+        transitions[cur] = tuple(moves)
+    return states, transitions
+
+
 def mca_to_lts(machine: CounterMachine, bound: int) -> Lts:
     """Explicit bounded transition system of a machine: states pair a control
-    state with a concrete counter valuation of magnitude at most bound."""
+    state with a concrete counter valuation of magnitude at most bound.  A
+    step that two transitions make is a move twice."""
     if bound < 0:
         raise MachineError("BoundTooSmall", "bound must be nonnegative")
     if any(abs(v) > bound for v in machine.init_valuation):
         raise MachineError("BoundTooSmall",
                            "initial valuation exceeds the bound")
     init = LtsState(machine.initial, machine.init_valuation)
-    lts = Lts(machine.counters, init)
-    seen = {init: init}
-    queue = deque([init])
-    while queue:
-        cur = queue.popleft()
-        lts.states.append(cur)
-        moves = []
-        for label, dst, val in machine.successors(cur.control, cur.valuation, bound):
-            nxt = seen.get((dst, val))
-            if nxt is None:
-                nxt = seen[(dst, val)] = LtsState(dst, val)
-                queue.append(nxt)
-            moves.append((label, nxt))
-            lts.actions.add(label)
-        lts.transitions[cur] = tuple(moves)
-    lts.finals = {s for s in lts.states if s.control in machine.finals}
-    return lts
+    states, transitions = _explore(
+        init, lambda s: machine.successors(s.control, s.valuation, bound))
+    finals = {s for s in states if s.control in machine.finals}
+    return Lts(init, states, transitions, finals)
 
 
 @record(frozen=True)
@@ -334,7 +337,6 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
     A contract applies where its pre instance is of the initial instance's
     family, with as many arguments as the valuation has counters, at a
     state below its pre state."""
-    annotations = list(annotations)
     if not all(a.is_const for a in initial.args):
         raise MachineError("UnsatisfiableInitial",
                            "initial instance needs ground coordinates")
@@ -344,44 +346,29 @@ def brts_to_lts(annotations: Iterable[Annotation], initial: InstanceType,
             raise MachineError("UnsatisfiableInitial",
                                "initial instance constraint does not hold")
     init = LtsState(initial.state, tuple(a.const for a in initial.args))
-    counters = tuple(f"c{i}" for i in range(len(init.valuation)))
-    lts = Lts(counters, init)
-    seen = {init: init}
-    queue = deque([init])
-
-    def substate(sub: str, sup: str) -> bool:
-        if table is not None:
-            return table.is_substate(sub, sup)
-        return sub == sup
-
+    substate = table.is_substate if table is not None else str.__eq__
     # each contract's successor function, and the contracts that apply at a
     # control state and valuation length
     compiled = [(ann, _compile_contract(ann)) for ann in annotations
                 if ann.family == initial.family]
-    applicable: dict[tuple[str, int], list[tuple[Annotation, Callable]]] = {}
-    while queue:
-        cur = queue.popleft()
-        lts.states.append(cur)
+    applicable: dict[tuple[str, int], list[tuple[str, str, Callable]]] = {}
+
+    def successors(cur: LtsState):
         key = (cur.control, len(cur.valuation))
         contracts = applicable.get(key)
         if contracts is None:
             contracts = applicable[key] = [
-                (ann, successors) for ann, successors in compiled
+                (ann.label, ann.post_state, solutions) for ann, solutions in compiled
                 if len(ann.pre_args) == len(cur.valuation)
                 and substate(cur.control, ann.pre_state)]
-        moves = []
-        for ann, successors in contracts:
-            for post_val in successors(cur.valuation, bound):
-                nxt = seen.get((ann.post_state, post_val))
-                if nxt is None:
-                    nxt = seen[(ann.post_state, post_val)] = LtsState(ann.post_state, post_val)
-                    queue.append(nxt)
-                moves.append((ann.label, nxt))
-                lts.actions.add(ann.label)
-        lts.transitions[cur] = tuple(dict.fromkeys(moves))
-    if final is not None:
-        lts.finals = {s for s in lts.states if final(s.control, s.valuation)}
-    return lts
+        # a step that two contracts make is one move
+        return dict.fromkeys([(label, post_state, val)
+                              for label, post_state, solutions in contracts
+                              for val in solutions(cur.valuation, bound)])
+
+    states, transitions = _explore(init, successors)
+    finals = set() if final is None else {s for s in states if final(s.control, s.valuation)}
+    return Lts(init, states, transitions, finals)
 
 
 @lru_cache(maxsize=256)

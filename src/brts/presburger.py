@@ -734,6 +734,23 @@ def _cooper_setup(var: str, f_qf: Formula) -> tuple[Formula, int, int, list[Lin]
 
 
 def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
+    """The disjuncts of eliminating var from a quantifier-free conjunction.
+
+    A top-level equality ``c*var + r == 0`` makes one exact branch, as the
+    equality step of Pugh's Omega test does.  `_unitize` rewrites the
+    formula over ``delta*var``, where the equality reads
+    ``sign(c)*(delta*var) + m*r == 0`` for m = delta / |c|, and its solution
+    is put for ``delta*var``: the branch is ``delta | -sign(c)*m*r`` and the
+    rest.  Otherwise come Cooper's period branches, the minus-infinity ones
+    first and then one per lower bound and residue."""
+    pins = _pins(f_qf, var)
+    if pins:
+        g, delta = _unitize(f_qf, var)
+        c = pins[0].coeff(var)
+        m = delta // abs(c)
+        exact = pins[0].drop(var).scale(-m if c > 0 else m)
+        yield _Branch(_subst_var(g, var, exact), exact, 0, 1, (), delta)
+        return
     g, delta, period, lowers, bounds = _cooper_setup(var, f_qf)
     g_inf = simplify(_minus_inf(g, var))
     for j in range(1, period + 1):
@@ -752,13 +769,9 @@ def _cooper_branches(var: str, f_qf: Formula) -> Iterator[_Branch]:
 def cooper_eliminate(var: str, f_qf: Formula) -> Formula:
     """Eliminate one existential over a quantifier-free body.
 
-    A top-level equality ``c*var + r == 0`` eliminates var exactly, as the
-    equality step of Pugh's Omega test does.  With |c| = 1 its solution is
-    put for var.  Otherwise `_unitize` rewrites the formula over
-    ``delta*var``, where the equality reads ``sign(c)*(delta*var) + m*r == 0``
-    for m = delta / |c|, and its solution is put for ``delta*var``; the
-    result is ``delta | -sign(c)*m*r`` and the rest, not Cooper's period
-    branches.
+    A top-level unit equality on var has its solution put for var; any
+    other conjunction is the disjunction of its `_cooper_branches`, a single
+    exact one when a top-level equality pins var.
     """
     f_qf = simplify(f_qf)
     if var not in free_vars(f_qf):
@@ -768,13 +781,6 @@ def cooper_eliminate(var: str, f_qf: Formula) -> Formula:
     rest, solved = _solve_unit_equalities(f_qf, {var})
     if solved:
         return rest
-    pins = _pins(f_qf, var)
-    if pins:
-        g, delta = _unitize(f_qf, var)
-        lin = pins[0]
-        c = lin.coeff(var)
-        m = delta // abs(c)
-        return _subst_var(g, var, lin.drop(var).scale(-m if c > 0 else m))
     return simplify(disj(*(b.formula for b in _cooper_branches(var, f_qf))))
 
 

@@ -71,15 +71,8 @@ def print_type(ty: ast.Type) -> str:
             if family is None:
                 return state if not args and constraint == TRUE else f"{state}({lit})"
             return f"{family}({lit}, {state})"
-        case ast.FunType(params, ret):
-            inner = ", ".join(print_type(p) for p in params)
-            return f"({inner}) -> {print_type(ret)}"
         case ast.UnionType(members):
             return " | ".join(print_type(m) for m in members)
-        case ast.MethodType(ret, params, env, _):
-            ps = ", ".join(f"{print_type(c)} {n}" for n, c in params)
-            es = ", ".join(f"{print_type(c)} {n}" for n, c in env)
-            return f"{print_type(ret)} ({ps})[{es}]"
     raise TypeError(f"not a type: {ty!r}")
 
 

@@ -73,21 +73,6 @@ class ChangeType(Type):
 
 
 @record(frozen=True)
-class FunType(Type):
-    params: tuple[Type, ...]
-    ret: Type
-
-
-@record(frozen=True)
-class MethodType(Type):
-    """Resolved signature: return type plus the per-name transition contracts."""
-    ret: Type
-    params: tuple[tuple[str, ChangeType], ...]
-    env: tuple[tuple[str, ChangeType], ...]
-    defined_in: str = ""
-
-
-@record(frozen=True)
 class UnionType(Type):
     """Finite union produced by match arms; collapses when members agree."""
     members: tuple[Type, ...]
@@ -317,11 +302,6 @@ class StateTable:
     def __contains__(self, name: str) -> bool:
         return name in self.states
 
-    def info(self, name: str) -> StateInfo:
-        if name not in self.states:
-            raise BrtsError("IllFormedType", f"unknown state '{name}'")
-        return self.states[name]
-
     def ancestors(self, name: str) -> list[str]:
         """name itself first, then its case-of chain."""
         chain = [name]
@@ -417,22 +397,9 @@ def _claim(fields, methods, families, name: str, span: Span) -> None:
         raise BrtsError("DuplicateMember", f"member '{name}' declared twice", span)
 
 
-def mtype(table: StateTable, method: str, state: str) -> MethodType:
-    """Resolve a method against a state, walking the case-of chain."""
-    for candidate in table.ancestors(state):
-        info = table.states.get(candidate)
-        if info and method in info.methods:
-            decl = info.methods[method]
-            return MethodType(
-                ret=decl.ret,
-                params=tuple((p.name, p.change) for p in decl.params),
-                env=tuple((p.name, p.change) for p in decl.env),
-                defined_in=candidate,
-            )
-    raise BrtsError("NoSuchMethod", f"state '{state}' has no method '{method}'")
-
-
 def find_method_decl(table: StateTable, method: str, state: str) -> tuple[str, MethodDecl]:
+    """Resolve a method against a state, walking the case-of chain: the
+    state that declares it, and its declaration."""
     for candidate in table.ancestors(state):
         info = table.states.get(candidate)
         if info and method in info.methods:

@@ -49,7 +49,7 @@ from .syntax import (
     BOOL, INT, STRING, VOID,
     ChangeType, InstanceType, PermPair, PrimType, StateRef,
     StateTable, Type, UnionType, WildcardType,
-    find_method_decl, mtype, state_table,
+    find_method_decl, state_table,
 )
 
 
@@ -174,7 +174,6 @@ class Obligation:
     phi_f: Formula             # incoming environment
     goal_f: Formula            # the constraint put to the solver
     verdict: bool
-    countermodel: Optional[dict[str, int]] = None
 
     @property
     def phi(self) -> str:
@@ -187,6 +186,13 @@ class Obligation:
         """The constraint put to the solver, rendered."""
         return render(simplify(self.goal_f))
 
+    @property
+    def countermodel(self) -> Optional[dict[str, int]]:
+        """A model of phi && ~goal when the obligation fails, searched in the
+        whole history so that it names the variables phi renders.  Only
+        `explain` and the JSON output read it, so a check searches for none."""
+        return None if self.verdict else witness(conj(self.phi_f, neg(self.goal_f)))
+
     def to_json(self) -> dict:
         out = {
             "line": self.span.line,
@@ -196,8 +202,9 @@ class Obligation:
             "obligation": self.goal,
             "verdict": "valid" if self.verdict else "invalid",
         }
-        if self.countermodel is not None:
-            out["countermodel"] = self.countermodel
+        model = self.countermodel
+        if model is not None:
+            out["countermodel"] = model
         return out
 
 
@@ -619,13 +626,12 @@ class Checker:
               sig_vars: Iterable[str] = ()) -> bool:
         """One obligation: ctx.phi must entail goal (with the signature's
         fresh variables existentially instantiated).  The solved form decides
-        it: it holds exactly when residual && ~goal[subst] has no model.  A
-        failing obligation's countermodel is searched again in the whole
-        history, so it names the variables phi renders."""
+        it: it holds exactly when residual && ~goal[subst] has no model.  The
+        obligation keeps the history and the closed goal, so a failing one's
+        countermodel is searched only when something reads it."""
         closed = exists_many(sorted(sig_vars), goal)
         verdict = witness(conj(ctx.residual, neg(ctx.apply(closed)))) is None
-        model = None if verdict else witness(conj(ctx.phi, neg(closed)))
-        self.obligations.append(Obligation(span, rule, ctx.phi, closed, verdict, model))
+        self.obligations.append(Obligation(span, rule, ctx.phi, closed, verdict))
         return verdict
 
     # -- expressions ------------------------------------------------------------
@@ -1069,26 +1075,28 @@ class Checker:
             self.error("NotADepInstance",
                        f"method call on a value of type {_show(recv_type)}; "
                        f"an object with a typestate is required", e.span)
-        mt = mtype(ctx.st, e.method, recv_state)
-        if len(mt.params) != len(e.args):
+        _, decl = find_method_decl(ctx.st, e.method, recv_state)
+        if len(decl.params) != len(e.args):
             self.error("ArityMismatch",
-                       f"'{e.method}' takes {len(mt.params)} arguments, got "
+                       f"'{e.method}' takes {len(decl.params)} arguments, got "
                        f"{len(e.args)}", e.span)
 
         ren: dict[str, str] = {}
         pairs: list[tuple[ast.Expr, str, ChangeType]] = []
-        for (pname, change), actual in zip(mt.params, e.args):
-            pairs.append((actual, pname, self.open_change(ctx, change, ren, e.span)))
-        for ename, change in mt.env:
+        for param, actual in zip(decl.params, e.args):
+            pairs.append((actual, param.name,
+                          self.open_change(ctx, param.change, ren, e.span)))
+        for param in decl.env:
+            ename = param.name
             if ename == "this":
-                pairs.append((e.recv, "this", self.open_change(ctx, change, ren, e.span)))
+                pairs.append((e.recv, "this", self.open_change(ctx, param.change, ren, e.span)))
             else:
                 if ctx.lookup(ename) is None:
                     self.error("UnboundVariable",
                                f"environment variable '{ename}' of '{e.method}' "
                                f"is not bound at this call", e.span)
                 pairs.append((ast.VarRef(ename, e.span), ename,
-                              self.open_change(ctx, change, ren, e.span)))
+                              self.open_change(ctx, param.change, ren, e.span)))
 
         sig_vars = set(ren.values())
         for actual, pname, change in pairs:
@@ -1096,7 +1104,7 @@ class Checker:
 
         if self.strict_calls:
             self._strict_body_check(ctx, e, recv_state)
-        return self.elaborate(ctx, mt.ret, e.span)
+        return self.elaborate(ctx, decl.ret, e.span)
 
     def _check_argument(self, ctx: Ctx, call: ast.MethodCall, actual: ast.Expr,
                         pname: str, change: ChangeType, sig_vars: set[str]) -> None:

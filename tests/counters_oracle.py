@@ -12,7 +12,9 @@ or its moves share few shifts.  `reference_successors` grounds a machine
 guard with `substitute` + `simplify`, pins primed counters by unit
 equations and enumerates the rest.  `reference_reach` is the breadth-first
 search over `reference_successors`, with quantifiers decided by bounded
-search instead of elimination.  `Contract` is the contract matcher that
+search instead of elimination.  `reference_mca_to_lts` and
+`reference_brts_to_lts` are the two breadth-first loops the LTS builders
+ran before they shared one walk.  `Contract` is the contract matcher that
 `brts_to_lts` ran before contracts were compiled: it pins only plain-variable
 pre arguments and evaluates every other candidate; `contract_matches` plugs
 it into `reference_brts_to_lts`.  All are slow and obviously faithful to the
@@ -184,6 +186,29 @@ def bounded_evaluate(f: Formula, env: dict[str, int], radius: int) -> bool:
     return evaluate(f, env)
 
 
+def reference_mca_to_lts(machine: CounterMachine, bound: int) -> Lts:
+    """`mca_to_lts` as its own breadth-first loop over the machine's
+    `successors`, keeping a step that two transitions make twice.  The
+    initial valuation is taken as within the bound."""
+    init = LtsState(machine.initial, machine.init_valuation)
+    lts = Lts(init, [], {}, set())
+    seen = {init: init}
+    queue = deque([init])
+    while queue:
+        cur = queue.popleft()
+        lts.states.append(cur)
+        moves = []
+        for label, dst, val in machine.successors(cur.control, cur.valuation, bound):
+            nxt = seen.get((dst, val))
+            if nxt is None:
+                nxt = seen[(dst, val)] = LtsState(dst, val)
+                queue.append(nxt)
+            moves.append((label, nxt))
+        lts.transitions[cur] = tuple(moves)
+    lts.finals = {s for s in lts.states if s.control in machine.finals}
+    return lts
+
+
 def reference_brts_to_lts(annotations, initial, bound, table=None, final=None,
                           match=None) -> Lts:
     """`brts_to_lts` matching every contract at every state through `match`,
@@ -191,7 +216,7 @@ def reference_brts_to_lts(annotations, initial, bound, table=None, final=None,
     valid."""
     match = match or reference_match_args
     init = LtsState(initial.state, tuple(a.const for a in initial.args))
-    lts = Lts(tuple(f"c{i}" for i in range(len(init.valuation))), init)
+    lts = Lts(init, [], {}, set())
     seen = {(init.control, init.valuation): init}
     queue = deque([init])
     while queue:
@@ -214,7 +239,6 @@ def reference_brts_to_lts(annotations, initial, bound, table=None, final=None,
                     nxt = seen[(ann.post_state, post_val)] = LtsState(ann.post_state, post_val)
                     queue.append(nxt)
                 moves.append((ann.label, nxt))
-                lts.actions.add(ann.label)
         lts.transitions[cur] = tuple(dict.fromkeys(moves))
     if final is not None:
         lts.finals = {s for s in lts.states if final(s.control, s.valuation)}

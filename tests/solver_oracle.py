@@ -30,7 +30,7 @@ from typing import Optional
 
 from brts.presburger import (
     EqZ, FALSE, TRUE, And, Formula, Lin, Not, Or, _conjuncts, _cooper_branches,
-    _disjunct_count, _obviously_contradictory, _pick_var, _subst_var, conj,
+    _disjunct_count, _obviously_contradictory, _pick_var, _rewrite_eq_on, _subst_var, conj,
     cooper_eliminate, disj, eliminate_quantifiers, evaluate, free_vars, nnf,
     simplify,
 )
@@ -124,7 +124,9 @@ def reference_cooper_eliminate(var: str, f_qf: Formula) -> Formula:
             if abs(c) == 1:
                 value = a.lin.drop(var).scale(-1 if c == 1 else 1)
                 return simplify(_subst_var(f_qf, var, value))
-    return simplify(disj(*(b.formula for b in _cooper_branches(var, f_qf))))
+    # with its equalities split, no equality pins var: Cooper's period branches
+    split = _rewrite_eq_on(f_qf, var)
+    return simplify(disj(*(b.formula for b in _cooper_branches(var, split))))
 
 
 def reference_project_onto(f: Formula, keep) -> Formula:

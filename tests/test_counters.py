@@ -1,5 +1,9 @@
+import contextlib
+import io
+
 import pytest
 
+from brts import cli
 from brts.counters import (
     Annotation, Counterexample, CounterMachine, Lts, LtsState, MachineError,
     SimulationRelation, Transition, accelerate_self_loop, annotations_of_program,
@@ -136,6 +140,41 @@ def test_brts_to_lts_runs_compiled_contracts(monkeypatch):
     assert brts_to_lts(anns, initial, bound=3, table=table).size() == 20
 
 
+def test_lts_holds_only_what_is_read():
+    assert Lts._fields == ("initial", "states", "transitions", "finals")
+
+
+TWICE_MCA = """
+counters n
+state q
+init q 0
+trans q -> q : inc : n' == n + 1
+trans q -> q : inc : n' == n + 1
+"""
+
+
+def test_a_step_two_transitions_make_is_two_moves(tmp_path):
+    # export-lts prints the machine's moves as its transitions make them
+    lts = mca_to_lts(parse_machine(TWICE_MCA), bound=1)
+    assert lts.moves(LtsState("q", (0,))) == (("inc", LtsState("q", (1,))),) * 2
+    path = tmp_path / "twice.mca"
+    path.write_text(TWICE_MCA)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["export-lts", str(path), "--bound", "1"]) == 0
+    assert out.getvalue().count('"q(0,)" -> "q(1,)" [label="inc"];') == 2
+
+
+def test_a_step_two_contracts_make_is_one_move():
+    table, anns = prodcons_annotations()
+    produce = [a for a in anns if a.label == "produce"]
+    initial = InstanceType("SB", (Const(0), Const(0)), TRUE, "OpenBuffer")
+    once = brts_to_lts(produce, initial, bound=2, table=table)
+    twice = brts_to_lts(produce * 2, initial, bound=2, table=table)
+    assert once.transitions[once.initial] == (("produce", LtsState("OpenBuffer", (1, 0))),)
+    assert twice == once
+
+
 def test_mca_to_lts_no_transitions():
     m = CounterMachine("still", ("s",), "s", ("x",), (0,), ())
     lts = mca_to_lts(m, bound=2)
@@ -256,7 +295,7 @@ def test_brts_lts_applies_only_the_initial_familys_contracts():
     assert sorted((a.label, a.family) for a in anns) == [("inc", "C"), ("twin", "D")]
     br = brts_to_lts(anns, initial_instance_of(program), bound=2, table=table)
     assert [s.valuation for s in br.states] == [(0,), (1,), (2,)]
-    assert br.actions == {"inc"}
+    assert {a for moves in br.transitions.values() for a, _ in moves} == {"inc"}
     machine = parse_machine("counters n\nstate q\ninit q 0\n"
                             "trans q -> q : inc : n' == n + 1\n")
     rel = check_simulation(br, mca_to_lts(machine, bound=2))

@@ -29,7 +29,8 @@ from brts.presburger import (
 from brts.syntax import InstanceType, state_table
 
 from counters_oracle import (
-    contract_matches, reference_brts_to_lts, reference_reach, reference_simulation, reference_successors,
+    contract_matches, reference_brts_to_lts, reference_mca_to_lts, reference_reach,
+    reference_simulation, reference_successors,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -79,13 +80,12 @@ def outcome_kind(result) -> str:
 
 def random_lts(rng: random.Random, tag: str) -> Lts:
     states = [LtsState(tag, (i,)) for i in range(rng.randint(1, 6))]
-    lts = Lts(("c0",), states[0], states=states)
+    lts = Lts(states[0], states, {}, set())
     for s in states:
         moves = tuple((rng.choice("abc"), rng.choice(states))
                       for _ in range(rng.randint(0, 4)))
         if moves or rng.random() < 0.5:
             lts.transitions[s] = moves
-        lts.actions.update(a for a, _ in moves)
     lts.finals = {s for s in states if rng.random() < 0.4}
     return lts
 
@@ -119,7 +119,7 @@ def random_grid_lts(rng: random.Random, tag: str) -> Lts:
     shifts = [(rng.choice("abc"), rng.randint(0, 2),
                tuple(spread * rng.randint(-1, 1) for _ in range(arity)))
               for _ in range(rng.randint(1, 3))]
-    lts = Lts(tuple(f"c{i}" for i in range(arity)), states[0], states=states)
+    lts = Lts(states[0], states, {}, set())
     for s in states:
         moves = []
         for _ in range(rng.randint(0, 4)):
@@ -133,7 +133,6 @@ def random_grid_lts(rng: random.Random, tag: str) -> Lts:
                 moves.append((rng.choice("abc"), rng.choice(states)))
         if moves or rng.random() < 0.5:
             lts.transitions[s] = tuple(moves)
-        lts.actions.update(a for a, _ in moves)
     lts.finals = {s for s in states if rng.random() < 0.3}
     return lts
 
@@ -149,8 +148,8 @@ def test_simulation_matches_reference_on_random_grids():
         outcomes["longer"] += len(getattr(want, "steps", ())) > 1
         outcomes["counting" if _grids(sim, simulated) is None else "grid"] += 1
         for lts in (sim, simulated):
-            outcomes["no counters"] += not lts.counters
-            outcomes["three counters"] += len(lts.counters) == 3
+            outcomes["no counters"] += not lts.initial.valuation
+            outcomes["three counters"] += len(lts.initial.valuation) == 3
     # every way the check can end, by each route, with each counter count
     assert all(n >= 20 for n in outcomes.values()), outcomes
 
@@ -165,12 +164,9 @@ def test_sparse_or_mixed_valuations_fall_back_to_counters():
                             ("q", [(0, 0, 0), (far, -far, 3), (-far, far, -3)]),
                             ("r", [(0,), (0, 1), (1,)])]:
         states = [LtsState(tag, v) for v in valuations]
-        lts = Lts(("c0", "c1", "c2"), states[0], states=states)
-        for s, t in zip(states, states[1:] + states[:1]):
-            lts.transitions[s] = (("a", t), ("b", s))
-        lts.actions = {"a", "b"}
-        lts.finals = {states[-1]}
-        sides.append(lts)
+        sides.append(Lts(states[0], states,
+                         {s: (("a", t), ("b", s)) for s, t in zip(states, states[1:] + states[:1])},
+                         {states[-1]}))
     started = time.perf_counter()
     for pair in itertools.product(sides, repeat=2):
         assert _grids(*pair) is None
@@ -238,10 +234,10 @@ def test_sparse_corpus_grid_takes_the_counters():
 # ---------------------------------------------------------------------------
 
 def same_lts(got: Lts, want: Lts) -> None:
+    assert got.initial == want.initial
     assert got.states == want.states
     assert list(got.transitions.items()) == list(want.transitions.items())
     assert got.finals == want.finals
-    assert got.actions == want.actions
 
 
 def even_sum(control: str, valuation: tuple[int, ...]) -> bool:
@@ -629,6 +625,19 @@ def test_successors_match_reference_on_corpus(bound):
         for s in mca_to_lts(machine, bound).states:
             assert (list(machine.successors(s.control, s.valuation, bound))
                     == reference_successors(machine, s.control, s.valuation, bound)), path
+
+
+def test_mca_to_lts_matches_reference_on_corpus():
+    """Every corpus machine and mutant at bounds 0-9 from its initial
+    valuation up: the shared walk finds the states, the moves in order and
+    the finals of the machine's own breadth-first loop."""
+    built = 0
+    for path in sorted(CORPUS.glob("*/*.mca")):
+        machine = load_machine(path)
+        for bound in range(max(map(abs, machine.init_valuation)), 10):
+            same_lts(mca_to_lts(machine, bound), reference_mca_to_lts(machine, bound))
+            built += 1
+    assert built == 116
 
 
 # ---------------------------------------------------------------------------

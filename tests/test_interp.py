@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from brts.cli import EXIT_OK, check_source, render_value
+from brts.gen import synthesize_program
 from brts.interp import (
     BoolV, IndexedV, IntV, Interp, NULL, ObjV, RuntimeErr, Store, StrV, UNIT,
     default, run_program,
@@ -10,7 +13,9 @@ from brts import syntax as ast
 from brts.syntax import (
     BOOL, INT, STRING, VOID, InstanceType, PermPair, StateRef, state_table,
 )
+from brts.typecheck import check_program
 
+from test_parser_reference import CORPUS, _perfbench_inputs
 from test_typecheck import BUFFER_STATES, GOOD_MAIN, VIOLATING_MAIN
 
 
@@ -487,3 +492,41 @@ state Main {
     value, _, store = run_program(checker.program, mode="abstract")
     assert render_value(value) == "(+ 5 | B)"
     assert store.lookup("x") == value
+
+
+# ---------------------------------------------------------------------------
+# progress over the checked programs of the byte-identity set
+# ---------------------------------------------------------------------------
+
+def progress_programs() -> list[tuple[str, ast.Program]]:
+    """The corpus, the benchmark's random programs of seeds 7, 11 and 301
+    with their rejected twins, its scaling series, and 200 generated
+    programs of seed 1000003."""
+    inputs = _perfbench_inputs()
+    out = [(f"{p.parent.name}/{p.name}", parse_program(p.read_text(), str(p)))
+           for p in sorted(CORPUS.glob("*/*.brts"))]
+    for seed in (7, 11, 301):
+        accepted, twins = inputs.random_programs(seed)
+        out += [(p.name, parse_program(p.source, p.name)) for p in accepted + twins]
+    out += [(p.name, parse_program(p.source, p.name)) for p in inputs.series()]
+    rng = random.Random(1000003)
+    out += [(f"gen{i}", synthesize_program(rng, i)[0]) for i in range(200)]
+    return out
+
+
+def test_checked_programs_make_progress():
+    """Every program of the set that `check` accepts runs to a value in
+    both modes: a well-typed program does not get stuck."""
+    programs = progress_programs()
+    ran = 0
+    for name, program in programs:
+        checker = check_program(program, name)
+        if any(d.severity == "error" for d in checker.diagnostics):
+            continue
+        for mode in ("concrete", "abstract"):
+            try:
+                run_program(checker.program, mode=mode)
+            except RuntimeErr as err:
+                pytest.fail(f"{name} gets stuck in {mode} mode: {err} [{err.kind}]")
+        ran += 1
+    assert (len(programs), ran) == (476, 434)

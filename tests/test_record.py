@@ -12,7 +12,7 @@ import pytest
 import brts.cli  # noqa: F401  - loads every module on the command line's path
 import brts.counters
 import brts.gen
-from brts.counters import CounterMachine, Lts
+from brts.counters import CounterMachine
 from brts.presburger import And, _cached_hash
 from brts.record import record, replace
 
@@ -23,8 +23,6 @@ MODULES = ["diagnostics", "presburger", "syntax", "typecheck", "interp", "counte
 NOT_FROZEN = {"Diagnostic", "Binding", "Obligation", "TraceEntry", "StateInfo",
               "CounterMachine", "Lts", "SimulationRelation", "Counterexample",
               "WitnessPath", "GenMethod", "GenSpec"}
-# Lts writes its own __init__ in place of default factories
-FACTORIES = {Lts: {"states": list, "transitions": dict, "finals": set, "actions": set}}
 
 
 def record_classes():
@@ -41,12 +39,9 @@ RECORDS = record_classes()
 
 
 def twin(cls):
-    factories = FACTORIES.get(cls, {})
     fields = []
     for name in cls._fields:
-        if name in factories:
-            fields.append((name, object, dataclasses.field(default_factory=factories[name])))
-        elif name in vars(cls):
+        if name in vars(cls):
             fields.append((name, object, dataclasses.field(default=vars(cls)[name])))
         else:
             fields.append((name, object))
@@ -69,7 +64,7 @@ def hash_or_unhashable(obj):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 70
+    assert len(RECORDS) == 68
     assert NOT_FROZEN <= {c.__name__ for c in RECORDS}
 
 

@@ -13,6 +13,8 @@ key, and the exact elimination of non-unit equalities must be equivalent
 to splitting them and branching.
 """
 
+import itertools
+import math
 import random
 from pathlib import Path
 
@@ -303,6 +305,28 @@ def test_cooper_eliminate_matches_reference_on_strides():
                 disj(le(x, Const(0)), eq(z, 2 * x)), le(Const(-2), z + x)])
             parts.insert(rng.randrange(len(parts) + 1), extra)
             assert assert_eliminations_agree("x", conj(*parts), 12)
+
+
+def test_model_search_takes_the_exact_equality_branch():
+    """A top-level equality with no unit coefficient on the variable the
+    search eliminates makes one exact branch, the formula that
+    `cooper_eliminate` returns, and the model solves the equality."""
+    x, y = Var("x"), Var("y")
+    models = 0
+    for c, d in itertools.product(range(2, 9), repeat=2):
+        if math.gcd(c, d) > 1:
+            continue
+        f = simplify(conj(eq(c * x, d * y + 1), le(Const(-1), y), le(y, Const(1))))
+        branch, = presburger._cooper_branches("x", f)
+        assert branch.exact is not None
+        assert branch.formula == cooper_eliminate("x", f)
+        model = witness(f)
+        assert model is None or evaluate(f, model)
+        assert (model is not None) == any(c * a == d * b + 1 for a in range(-9, 10)
+                                          for b in range(-1, 2))
+        models += model is not None
+    # both answers occur among the 28 coprime pairs
+    assert models == 18
 
 
 def test_simplify_is_idempotent_on_stream():

@@ -4,7 +4,7 @@ from brts.diagnostics import BrtsError
 from brts.parser import parse_program
 from brts.presburger import formula_equal, ge, Var
 from brts import syntax as ast
-from brts.syntax import mtype, state_table
+from brts.syntax import find_method_decl, state_table
 
 
 FIG_STYLE = """
@@ -32,7 +32,7 @@ def test_state_table_contains_declared_states():
     for name in ("Buffer", "OB", "CB", "ProducerConsumer", "Main"):
         assert name in st
     assert st.main_state == "Main"
-    assert st.info("ProducerConsumer").families["SB"].coord_vars == ("p", "c")
+    assert st.states["ProducerConsumer"].families["SB"].coord_vars == ("p", "c")
 
 
 def test_state_table_empty_program_no_main():
@@ -70,32 +70,33 @@ def test_substate_relation():
     assert not st.is_substate("OB", "CB")
 
 
-def test_mtype_produce():
+def test_find_method_decl_produce():
     st = state_table(parse_program(FIG_STYLE))
-    mt = mtype(st, "produce", "ProducerConsumer")
-    assert mt.defined_in == "ProducerConsumer"
-    assert mt.ret == ast.VOID
-    (name, change), = mt.params
-    assert name == "buf"
-    pre, post = change.pre.inner, change.post.inner
+    defined_in, decl = find_method_decl(st, "produce", "ProducerConsumer")
+    assert defined_in == "ProducerConsumer"
+    assert decl.ret == ast.VOID
+    param, = decl.params
+    assert param.name == "buf"
+    pre, post = param.change.pre.inner, param.change.post.inner
     assert pre.state == "OB" and post.state == "OB"
     assert formula_equal(pre.constraint, ge(Var("p"), Var("q")))
 
 
-def test_mtype_found_via_declaring_state():
+def test_find_method_decl_via_declaring_state():
     st = state_table(parse_program(FIG_STYLE))
-    mt = mtype(st, "open", "CB")
-    assert mt.defined_in == "CB"
+    defined_in, _ = find_method_decl(st, "open", "CB")
+    assert defined_in == "CB"
     # and it resolves on substates through the chain
     st2 = state_table(parse_program(FIG_STYLE + "\nstate CBX case of CB { }"))
-    assert mtype(st2, "open", "CBX").defined_in == "CB"
+    assert find_method_decl(st2, "open", "CBX")[0] == "CB"
 
 
-def test_mtype_missing():
+def test_find_method_decl_missing():
     st = state_table(parse_program(FIG_STYLE))
     with pytest.raises(BrtsError) as err:
-        mtype(st, "frobnicate", "Buffer")
+        find_method_decl(st, "frobnicate", "Buffer")
     assert err.value.kind == "NoSuchMethod"
+    assert str(err.value) == "state 'Buffer' has no method 'frobnicate'"
 
 
 def test_state_table_order_independent():
