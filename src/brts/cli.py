@@ -1,4 +1,5 @@
-"""Command-line front end: check, run, simulate, explain, fmt.
+"""Command-line front end: check, run, simulate, reach, explain, fmt,
+export-lts.
 
 Exit codes are part of the interface:
   0 success, 1 type errors, 2 parse errors, 3 internal error,
@@ -42,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", help="machine-readable diagnostics")
     check.add_argument("--emit-obligations", action="store_true",
                        help="dump every solver obligation as JSON lines")
-    check.add_argument("--strict", action="store_true",
-                       help="re-check method bodies at every call site")
 
     run = sub.add_parser("run", help="evaluate a program's main method")
     run.add_argument("file")
@@ -113,7 +112,7 @@ def cmd_check(args) -> int:
         source = read_source(name)
         if source is None:
             return EXIT_PARSE
-        code, checker, diags = check_source(source, str(path), strict=args.strict)
+        code, checker, diags = check_source(source, str(path))
         worst = max(worst, code)
         if args.json:
             payload.extend(d.to_json(str(path)) for d in diags)
@@ -128,13 +127,12 @@ def cmd_check(args) -> int:
     return worst
 
 
-def check_source(source: str, filename: str,
-                 strict: bool = False) -> tuple[int, Checker | None, list[Diagnostic]]:
+def check_source(source: str, filename: str) -> tuple[int, Checker | None, list[Diagnostic]]:
     try:
         program = parse_program(source, filename)
     except BrtsError as err:
         return EXIT_PARSE, None, [err.diagnostic]
-    checker = check_program(program, filename, strict_calls=strict)
+    checker = check_program(program, filename)
     diags = checker.diagnostics
     errors = [d for d in diags if d.severity == "error"]
     if any(d.kind in PARSE_LEVEL for d in errors):
@@ -172,6 +170,7 @@ def cmd_run(args) -> int:
     if args.unchecked:
         try:
             program = parse_program(source, str(path))
+            table = state_table(program)
         except BrtsError as err:
             print(err.diagnostic.render(str(path)), file=sys.stderr)
             return EXIT_PARSE
@@ -181,10 +180,10 @@ def cmd_run(args) -> int:
             print(d.render(str(path)), file=sys.stderr)
         if code != EXIT_OK:
             return code
-        program = checker.program
+        program, table = checker.program, checker.st
     try:
         value, interp, _ = run_program(program, mode=args.mode, fuel=args.fuel,
-                                       trace=args.trace)
+                                       trace=args.trace, table=table)
     except RuntimeErr as err:
         print(f"{path}:{err.span.line}:{err.span.col}: runtime error: {err} "
               f"[{err.kind}]", file=sys.stderr)

@@ -252,6 +252,8 @@ class Interp:
 
     def _new_object(self, state: str, inst: Optional[InstanceType],
                     store: Store, span: Span) -> ObjV:
+        if state not in self.st:
+            raise RuntimeErr("UnknownState", f"state '{state}' is not declared", span)
         fields: list[tuple[str, Value]] = []
         for anc in reversed(self.st.ancestors(state)):
             for fd in self.st.states[anc].fields.values():

@@ -303,10 +303,11 @@ class StateTable:
         return name in self.states
 
     def ancestors(self, name: str) -> list[str]:
-        """name itself first, then its case-of chain."""
+        """name itself first, then its case-of chain; an undeclared name
+        has none."""
         chain = [name]
         seen = {name}
-        cur = self.states[name].parent
+        cur = self.states[name].parent if name in self.states else None
         while cur is not None and cur in self.states and cur not in seen:
             chain.append(cur)
             seen.add(cur)

@@ -247,10 +247,9 @@ class QueryRecord:
 
 class Checker:
     def __init__(self, program: ast.Program, filename: str = "<input>",
-                 strict_calls: bool = False, audit: bool = False):
+                 audit: bool = False):
         self.program = program
         self.filename = filename
-        self.strict_calls = strict_calls
         self.audit = audit
         self.diagnostics: list[Diagnostic] = []
         self.obligations: list[Obligation] = []
@@ -258,7 +257,6 @@ class Checker:
         self.st: Optional[StateTable] = None
         self._counter = 0
         self._dead_warned: set[tuple[int, int]] = set()
-        self._call_stack: list[tuple[str, str]] = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -285,7 +283,7 @@ class Checker:
                       span)
 
     def record_query(self, kind: str, t1: Type, t2: Type, result: bool,
-                     ctx: Optional[Ctx]) -> None:
+                     ctx: Ctx) -> None:
         if not self.audit:
             return
         self.query_log.append(QueryRecord(kind, freeze_type(ctx, t1),
@@ -299,8 +297,7 @@ class Checker:
         except BrtsError as err:
             self.diagnostics.append(err.diagnostic)
             return self.diagnostics
-        for st_decl in self._all_states(self.program.states):
-            info = self.st.states[st_decl.name]
+        for state, info in self.st.states.items():
             for fam in info.families.values():
                 try:
                     check_family_formation(self.st, fam)
@@ -308,21 +305,15 @@ class Checker:
                     self.diagnostics.append(err.diagnostic)
             for fd in info.fields.values():
                 try:
-                    self.check_field_decl(st_decl.name, fd)
+                    self.check_field_decl(state, fd)
                 except BrtsError as err:
                     self.diagnostics.append(err.diagnostic)
             for md in info.methods.values():
                 try:
-                    self.check_method_decl(st_decl.name, md)
+                    self.check_method_decl(state, md)
                 except BrtsError as err:
                     self.diagnostics.append(err.diagnostic)
         return self.diagnostics
-
-    def _all_states(self, states: Iterable[ast.StateDecl]):
-        for s in states:
-            yield s
-            yield from self._all_states(d for d in s.decls
-                                        if isinstance(d, ast.StateDecl))
 
     @property
     def ok(self) -> bool:
@@ -608,17 +599,13 @@ class Checker:
                     self._type_equal(ctx, a, b) for a, b in zip(m1, m2))
         return False
 
-    def inst_formula(self, ctx: Optional[Ctx], inst: InstanceType) -> Formula:
-        """Project what is known about an instance onto its family's
-        coordinate names; the user-facing shape of a typestate."""
+    def inst_formula(self, ctx: Ctx, inst: InstanceType) -> Formula:
+        """Project what the history knows about an instance onto its
+        family's coordinate names; the user-facing shape of a typestate."""
         if inst.family is None:
             return simplify(inst.constraint)
-        fam = (ctx.st if ctx else self.st).find_family(inst.family)
-        coords = fam.coord_vars
-        facts = [ctx.phi if ctx else TRUE, inst.constraint]
-        for name, arg in zip(coords, inst.args):
-            facts.append(eq(Var(name), arg))
-        return simplify(project_onto(conj(*facts), coords))
+        coords = ctx.st.find_family(inst.family).coord_vars
+        return _project(ctx.phi, coords, inst)
 
     # -- the solver funnel ------------------------------------------------------
 
@@ -1102,8 +1089,6 @@ class Checker:
         for actual, pname, change in pairs:
             self._check_argument(ctx, e, actual, pname, change, sig_vars)
 
-        if self.strict_calls:
-            self._strict_body_check(ctx, e, recv_state)
         return self.elaborate(ctx, decl.ret, e.span)
 
     def _check_argument(self, ctx: Ctx, call: ast.MethodCall, actual: ast.Expr,
@@ -1152,7 +1137,7 @@ class Checker:
                 fam = ctx.st.find_family(pre_i.family)
                 frozen_pre = InstanceType(pre_i.family,
                                           tuple(Var(c) for c in fam.coord_vars),
-                                          self._side_formula(fam.coord_vars, pre_i),
+                                          _project(TRUE, fam.coord_vars, pre_i),
                                           pre_i.state)
                 self.subtype(ctx, got_i, frozen_pre)
             if post_i is not None:
@@ -1180,7 +1165,7 @@ class Checker:
         pre_ok = model is None
         if not pre_ok:
             here = render(tidy(self.inst_formula(ctx, got_i)))
-            required = render(tidy(self._side_formula(coords, pre_i)))
+            required = render(tidy(_project(TRUE, coords, pre_i)))
             grounded = self._ground_coords(coords, got_i, model)
             self.error(
                 "PreconditionViolation",
@@ -1192,8 +1177,8 @@ class Checker:
                      f"not entailed by {render(simplify(ctx.phi))}")
         else:
             model = witness(conj(ctx.phi, bindings, pre_f))
-            post_required = render(tidy(self._side_formula(coords, post_i)))
-            grounded = self._ground_coords(coords, post_i, model, use_args=True)
+            post_required = render(tidy(_project(TRUE, coords, post_i)))
+            grounded = self._ground_coords(coords, post_i, model)
             self.error(
                 "PostconditionUnsatisfiable",
                 f"call to '{call.method}' cannot establish its postcondition for "
@@ -1203,15 +1188,7 @@ class Checker:
                 note=f"obligation {render(simplify(post_f))} with "
                      f"{render(simplify(conj(ctx.phi, bindings, pre_f)))}")
 
-    def _side_formula(self, coords: tuple[str, ...], inst: Optional[InstanceType]) -> Formula:
-        if inst is None:
-            return TRUE
-        facts = [inst.constraint]
-        for name, arg in zip(coords, inst.args):
-            facts.append(eq(Var(name), arg))
-        return simplify(project_onto(conj(*facts), coords))
-
-    def _ground_coords(self, coords, inst, model, use_args: bool = False) -> str:
+    def _ground_coords(self, coords, inst, model) -> str:
         if model is None or inst is None:
             return ""
         env = dict(model)
@@ -1221,17 +1198,6 @@ class Checker:
                 env.setdefault(v, 0)
             pieces.append(f"{name} = {arg.evaluate(env)}")
         return ", ".join(pieces)
-
-    def _strict_body_check(self, ctx: Ctx, call: ast.MethodCall, recv_state: str) -> None:
-        defined_in, decl = find_method_decl(ctx.st, call.method, recv_state)
-        key = (defined_in, call.method)
-        if decl.body is None or key in self._call_stack:
-            return
-        self._call_stack.append(key)
-        try:
-            self.check_method_decl(defined_in, decl)
-        finally:
-            self._call_stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -1341,16 +1307,13 @@ def _psi_sub(t1: Type, t2: Type, st: StateTable) -> Formula:
     return FALSE
 
 
-def freeze_type(ctx: Optional[Ctx], ty: Type) -> Type:
+def freeze_type(ctx: Ctx, ty: Type) -> Type:
     """Make a type self-contained: instance components swap their argument
     terms for the projection of everything the context knows about them."""
     match ty:
         case InstanceType():
-            if ctx is None:
-                return ty
             fam = ctx.st.find_family(ty.family) if ty.family else None
-            checker = ctx.checker
-            proj = checker.inst_formula(ctx, ty)
+            proj = ctx.checker.inst_formula(ctx, ty)
             coords = fam.coord_vars if fam else ()
             return InstanceType(ty.family, tuple(Var(c) for c in coords), proj,
                                 ty.state)
@@ -1367,6 +1330,18 @@ def freeze_type(ctx: Optional[Ctx], ty: Type) -> Type:
 # ---------------------------------------------------------------------------
 # Helpers over type shapes
 # ---------------------------------------------------------------------------
+
+def _project(context: Formula, coords: tuple[str, ...],
+             inst: Optional[InstanceType]) -> Formula:
+    """What context and an instance's own constraint say about its
+    arguments, projected onto the coordinate names coords."""
+    if inst is None:
+        return TRUE
+    facts = [context, inst.constraint]
+    for name, arg in zip(coords, inst.args):
+        facts.append(eq(Var(name), arg))
+    return simplify(project_onto(conj(*facts), coords))
+
 
 def strip_perm(ty: Type) -> Type:
     return ty.inner if isinstance(ty, PermPair) else ty
@@ -1430,7 +1405,7 @@ def _show(ty: Type) -> str:
 # ---------------------------------------------------------------------------
 
 def check_program(program: ast.Program, filename: str = "<input>",
-                  strict_calls: bool = False, audit: bool = False) -> Checker:
-    checker = Checker(program, filename, strict_calls, audit)
+                  audit: bool = False) -> Checker:
+    checker = Checker(program, filename, audit)
     checker.run()
     return checker

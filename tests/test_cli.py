@@ -68,6 +68,12 @@ def test_check_emit_obligations_jsonl():
     assert any(l["verdict"] == "invalid" for l in lines)
 
 
+def test_check_has_one_mode():
+    out = brts("check", "--strict", "corpus/prodcons/good.brts")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --strict" in out.stderr
+
+
 def test_countermodels_do_not_depend_on_the_hash_seed(tmp_path):
     # a loop whose entry fails after nested matches, and a disjunction whose
     # model leaves five variables to fill: both once printed their unset
@@ -141,6 +147,24 @@ def test_run_unchecked_let_name_goes_out_of_scope(tmp_path):
     assert f"{program}:5:9: runtime error:" in out.stderr
     assert "[UnboundRuntimeName]" in out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("body, where, message", [
+    pytest.param("var (1, S) s = new T();", "4:24",
+                 "state 'T' is not declared [UnknownState]", id="new"),
+    pytest.param("val s = new S();\n        s.go();\n        s.go();", "6:11",
+                 "state 'T' has no method 'go' [NoSuchMethod]", id="call"),
+])
+def test_run_unchecked_undeclared_state_is_a_located_runtime_error(
+        tmp_path, body, where, message):
+    # `check` rejects both with BRTS020; the first call of `go` moves s to T
+    program = tmp_path / "undeclared.brts"
+    program.write_text("state S { void go()[(1, S) >> (1, T) this]; }\n"
+                       f"state Main {{\n    void main()[] {{\n        {body}\n    }}\n}}\n")
+    assert brts("check", str(program)).returncode == 1
+    out = brts("run", "--unchecked", str(program))
+    assert out.returncode == 4
+    assert out.stderr == f"{program}:{where}: runtime error: {message}\n"
 
 
 def test_run_fuel_exhaustion_exits_four(tmp_path):
@@ -368,6 +392,25 @@ def test_non_ascii_digit_is_a_lex_error(tmp_path, args):
     assert out.returncode == 2
     assert out.stderr == (f"{program}:3:18: error: unexpected character "
                           f"'²' [BRTS001]\n")
+
+
+@pytest.mark.parametrize("source, where, message", [
+    pytest.param("state S { }\nstate S { }\nstate Main { void main()[] { } }\n",
+                 "2:1", "state 'S' declared twice [BRTS003]", id="duplicate"),
+    pytest.param("state S { }\nstate T case of U { }\nstate Main { void main()[] { } }\n",
+                 "2:1", "state 'T' extends unknown state 'U' [BRTS004]",
+                 id="unknown-parent"),
+    pytest.param("state S { }\nstate T { }\n",
+                 "1:1", "no state declares a method named 'main' [BRTS006]", id="no-main"),
+])
+@pytest.mark.parametrize("args", [("check",), ("run",), ("run", "--unchecked")],
+                         ids=" ".join)
+def test_state_table_errors_name_the_file(tmp_path, source, where, message, args):
+    program = tmp_path / "table.brts"
+    program.write_text(source)
+    out = brts(*args, str(program))
+    assert out.returncode == 2
+    assert out.stderr == f"{program}:{where}: error: {message}\n"
 
 
 @pytest.mark.parametrize("init, reason", [

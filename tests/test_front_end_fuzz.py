@@ -1,17 +1,23 @@
 """Mutated corpus programs never make the front end fail with anything but a
 located BrtsError: `parse_program`, `parse_formula` and `cli.check_source`
-either return or raise one whose span lies inside the source."""
+either return or raise one whose span lies inside the source.  `fmt` prints
+each program that parses as one that parses to the same tree, and
+`run --unchecked` ends with a value or a located error."""
 
+import io
 import re
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from brts import cli
 from brts.cli import check_source
 from brts.diagnostics import BrtsError
 from brts.parser import KEYWORDS, MAX_NESTING, SYMBOLS, parse_formula, parse_program
+from brts.printer import strip_spans
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 SOURCES = [p.read_text() for p in sorted(CORPUS.glob("*/*.brts"))]
@@ -78,3 +84,29 @@ def test_mutated_programs_fail_only_with_located_errors(source):
         assert_returns_or_located(parse_program, source)
         assert_returns_or_located(parse_formula, source)
         assert_returns_or_located(lambda s: check_source(s, "fuzz.brts"), source)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+def test_mutated_programs_format_and_run_unchecked(source):
+    with tempfile.TemporaryDirectory() as tmp, cli_recursion_limit():
+        path = Path(tmp) / "fuzz.brts"
+        path.write_text(source)
+        code, out, err = run_cli(["fmt", str(path)])
+        if code == 0:
+            assert strip_spans(parse_program(out)) == strip_spans(parse_program(source))
+        else:
+            assert code == 2 and err.startswith(f"{path}:"), (code, err)
+        for mode in ("concrete", "abstract"):
+            argv = ["run", "--unchecked", "--fuel", "2000", "--mode", mode, str(path)]
+            code, _, err = run_cli(argv)
+            assert code in (0, 1, 2, 4), (argv, code, err)
+            assert code == 0 or err.startswith(f"{path}:"), (argv, code, err)

@@ -11,8 +11,6 @@ costs a number of folded atoms that grows linearly with its length.
 import random
 from pathlib import Path
 
-import pytest
-
 import brts.presburger as presburger
 from brts.gen import synthesize_program
 from brts.parser import parse_program
@@ -142,15 +140,14 @@ def _programs():
 PROGRAMS = _programs()
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_solved_form_answers_as_the_history_does(strict):
+def test_solved_form_answers_as_the_history_does():
     for name, program in PROGRAMS:
-        checker = check_program(program, name, strict_calls=strict)
+        checker = check_program(program, name)
         for ob in checker.obligations:
             model = witness(conj(ob.phi_f, neg(ob.goal_f)))
             assert ob.verdict == (model is None), (name, ob.span, ob.rule)
             assert ob.countermodel == model, (name, ob.span, ob.rule)
-        reference = HistoryChecker(program, name, strict_calls=strict)
+        reference = HistoryChecker(program, name)
         reference.run()
         assert ([d.render(name) for d in checker.diagnostics]
                 == [d.render(name) for d in reference.diagnostics]), name
