@@ -19,7 +19,7 @@ from .parser import parse_formula, parse_program
 from .presburger import eliminate_quantifiers, evaluate, free_vars
 from .printer import print_program
 from . import syntax as ast
-from .syntax import InstanceType, PermPair, state_table
+from .syntax import InstanceType, state_table, strip_perm
 from .typecheck import Checker, check_program
 
 PARSE_LEVEL = {"LexError", "ParseError", "DuplicateState", "UnknownParent",
@@ -203,8 +203,7 @@ def initial_instance_of(program: ast.Program) -> InstanceType | None:
         return None
     for stmt in main.body.stmts:
         if isinstance(stmt, ast.VarDecl):
-            declared = stmt.declared
-            inner = declared.inner if isinstance(declared, PermPair) else declared
+            inner = strip_perm(stmt.declared)
             if isinstance(inner, InstanceType) and inner.args:
                 return inner
     return None
@@ -240,7 +239,10 @@ def cmd_simulate(args) -> int:
             return EXIT_PARSE
         final = lambda s, v: table.is_substate(s, args.final_state)
     elif args.final_formula:
-        formula = parse_formula(args.final_formula)
+        try:
+            formula = parse_formula(args.final_formula)
+        except BrtsError as err:
+            return machine_error(args.program, err)
         fam = table.find_family(initial.family) if initial.family else None
         coords = fam.coord_vars if fam else ()
         unknown = sorted(free_vars(formula) - set(coords))

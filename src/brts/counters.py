@@ -51,7 +51,7 @@ from .presburger import (
     TRUE,
 )
 from .record import record
-from .syntax import ChangeType, InstanceType, PermPair, StateTable
+from .syntax import ChangeType, InstanceType, StateTable, strip_perm
 
 
 class MachineError(Exception):
@@ -305,8 +305,8 @@ class Annotation:
 
 
 def annotation_from_change(label: str, change: ChangeType) -> Optional[Annotation]:
-    pre = change.pre.inner if isinstance(change.pre, PermPair) else change.pre
-    post = change.post.inner if isinstance(change.post, PermPair) else change.post
+    pre = strip_perm(change.pre)
+    post = strip_perm(change.post)
     if not isinstance(pre, InstanceType) or not isinstance(post, InstanceType):
         return None
     if not pre.args or not post.args:

@@ -24,7 +24,7 @@ from . import syntax as ast
 from .record import record, replace
 from .syntax import (
     ChangeType, InstanceType, PermPair, PrimType, StateRef, StateTable, Type,
-    WildcardType, find_method_decl, state_table,
+    WildcardType, find_method_decl, state_table, strip_perm,
 )
 
 
@@ -384,7 +384,7 @@ class Interp:
     def _adopt_declared(self, value: Value, declared: Type) -> Value:
         """A dependent ascription on a plain new: the coordinates come from
         the declaration."""
-        inst = declared.inner if isinstance(declared, PermPair) else declared
+        inst = strip_perm(declared)
         if isinstance(inst, InstanceType) and inst.args and isinstance(value, ObjV) \
                 and value.coords is None:
             # the checker opens a declaration's variables fresh, so any model
@@ -522,8 +522,7 @@ class Interp:
     def _apply_post(self, change: ChangeType, value: Value, span: Span) -> Value:
         if not isinstance(value, ObjV):
             return value
-        post = change.post
-        inst = post.inner if isinstance(post, PermPair) else post
+        inst = strip_perm(change.post)
         if isinstance(inst, InstanceType):
             coords = value.coords
             if inst.args and value.coords is not None:
@@ -615,8 +614,7 @@ def _signature_of(decl: ast.MethodDecl) -> _Signature:
     variables: set[str] = set()
     constraints = []
     for i, change in changes:
-        pre, post = (t.inner if isinstance(t, PermPair) else t
-                     for t in (change.pre, change.post))
+        pre, post = strip_perm(change.pre), strip_perm(change.post)
         if isinstance(pre, InstanceType):
             terms += [(i, j, lin) for j, lin in enumerate(pre.args)]
         for inst in (pre, post):

@@ -47,6 +47,11 @@ class PermPair(Type):
     inner: Type
 
 
+def strip_perm(ty: Type) -> Type:
+    """The type under a permission pair; any other type as it is."""
+    return ty.inner if isinstance(ty, PermPair) else ty
+
+
 @record(frozen=True)
 class InstanceType(Type):
     """A member of a declared family at concrete coordinates and state.
@@ -324,6 +329,14 @@ class StateTable:
 
     def comparable(self, a: str, b: str) -> bool:
         return self.is_substate(a, b) or self.is_substate(b, a)
+
+    def find_field(self, state: str, name: str) -> Optional[FieldDecl]:
+        """Field name of state, or of its nearest ancestor that declares it."""
+        for candidate in self.ancestors(state):
+            info = self.states.get(candidate)
+            if info and name in info.fields:
+                return info.fields[name]
+        return None
 
     def find_family(self, name: str) -> Optional[TypeFamDecl]:
         for info in self.states.values():

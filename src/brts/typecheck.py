@@ -40,7 +40,7 @@ from .diagnostics import NO_SPAN, BrtsError, Diagnostic, Span
 from .presburger import (
     Const, Formula, Lin, Or, Var,
     compact, conj, disj, entails, eq, exists_many, formula_equal, free_vars,
-    implies, is_satisfiable, neg, ne, project_onto, render, simplify,
+    implies, is_satisfiable, neg, project_onto, render, simplify,
     solved_form, substitute, tidy, witness, FALSE, TRUE,
 )
 from . import syntax as ast
@@ -49,7 +49,7 @@ from .syntax import (
     BOOL, INT, STRING, VOID,
     ChangeType, InstanceType, PermPair, PrimType, StateRef,
     StateTable, Type, UnionType, WildcardType,
-    find_method_decl, state_table,
+    find_method_decl, state_table, strip_perm,
 )
 
 
@@ -84,26 +84,18 @@ class Ctx:
         self.annot_names: dict[str, str] = {}
 
     def copy(self) -> "Ctx":
-        c = Ctx(self.st, self.checker)
+        c = Ctx.__new__(Ctx)
+        c.restore(self)
         c.scopes = [dict(s) for s in self.scopes]
-        c.phi = self.phi
         c.subst = dict(self.subst)
-        c.residual = self.residual
         c.pinned = set(self.pinned)
-        c.sat = self.sat
         c.logical_vars = set(self.logical_vars)
         c.annot_names = dict(self.annot_names)
         return c
 
     def restore(self, other: "Ctx") -> None:
-        self.scopes = other.scopes
-        self.phi = other.phi
-        self.subst = other.subst
-        self.residual = other.residual
-        self.pinned = other.pinned
-        self.sat = other.sat
-        self.logical_vars = other.logical_vars
-        self.annot_names = other.annot_names
+        """Take other's fields; the containers are shared, not copied."""
+        self.__dict__.update(other.__dict__)
 
     def push(self) -> None:
         self.scopes.append({})
@@ -209,11 +201,6 @@ class Obligation:
 
 
 @record(frozen=True)
-class WfRel:
-    ty: Type
-
-
-@record(frozen=True)
 class SubRel:
     t1: Type
     t2: Type
@@ -223,14 +210,6 @@ class SubRel:
 class EqRel:
     t1: Type
     t2: Type
-
-
-@record(frozen=True)
-class TransRel:
-    """A transition or function type paired with what its body established."""
-    pre: Type
-    body: Type
-    post: Type
 
 
 @record(frozen=True)
@@ -704,12 +683,11 @@ class Checker:
             self.error("NotADepInstance",
                        f"field access on a non-object value of type {_show(obj)}",
                        e.span)
-        for candidate in ctx.st.ancestors(state):
-            info = ctx.st.states[candidate]
-            if e.name in info.fields:
-                return self.elaborate(ctx, info.fields[e.name].type, e.span)
-        self.error("IllFormedType",
-                   f"state '{state}' has no field '{e.name}'", e.span)
+        field_decl = ctx.st.find_field(state, e.name)
+        if field_decl is None:
+            self.error("IllFormedType",
+                       f"state '{state}' has no field '{e.name}'", e.span)
+        return self.elaborate(ctx, field_decl.type, e.span)
 
     def infer_block(self, ctx: Ctx, e: ast.Block) -> Type:
         """A block's declarations bind in its own scope, each over the
@@ -748,12 +726,7 @@ class Checker:
         if state is None:
             self.error("NotADepInstance",
                        f"field assignment on non-object '{e.target}'", e.span)
-        field_decl = None
-        for candidate in ctx.st.ancestors(state):
-            info = ctx.st.states[candidate]
-            if e.name in info.fields:
-                field_decl = info.fields[e.name]
-                break
+        field_decl = ctx.st.find_field(state, e.name)
         if field_decl is None:
             self.error("IllFormedType",
                        f"state '{state}' has no field '{e.name}'", e.span)
@@ -807,8 +780,6 @@ class Checker:
             self.error("IllFormedType", f"unknown state '{scope}' in match", e.span)
 
         scrut_name = e.scrutinee.name if isinstance(e.scrutinee, ast.VarRef) else None
-        entry = ctx.copy()
-        arm_phis: list[Formula] = []
         arm_types: list[Type] = []
         post_bindings: list[Ctx] = []
 
@@ -832,30 +803,28 @@ class Checker:
                           f"match arm '{arm.state}' is unreachable: the scrutinee "
                           f"is at state '{state}'", arm.span)
                 continue
-            ctx.restore(entry.copy())
+            arm_ctx = ctx.copy()
             if scrut_name is not None:
-                binding = ctx.lookup(scrut_name)
+                binding = arm_ctx.lookup(scrut_name)
                 if binding is not None:
-                    ctx.rebind(scrut_name, _retag(binding.type, refined))
-            arm_types.append(self.infer(ctx, arm.body))
-            post_bindings.append(ctx.copy())
+                    arm_ctx.rebind(scrut_name, _retag(binding.type, refined))
+            arm_types.append(self.infer(arm_ctx, arm.body))
+            post_bindings.append(arm_ctx)
 
         if not post_bindings:
-            ctx.restore(entry)
             return VOID
-        self._join_arms(ctx, entry, post_bindings, arm_types)
+        self._join_arms(ctx, post_bindings, arm_types)
 
         result = arm_types[0]
         if all(self.type_equal(ctx, t, result) for t in arm_types[1:]):
             return result
         return UnionType(tuple(arm_types))
 
-    def _join_arms(self, ctx: Ctx, entry: Ctx, arms: list[Ctx],
-                   results: list[Type]) -> None:
-        """Merge the arm contexts into ctx: bindings that diverged get fresh
-        coordinates pinned per arm inside that arm's environment, so the
-        disjunction of the environments carries the exact case split.  The
-        join is satisfiable iff some arm is.
+    def _join_arms(self, ctx: Ctx, arms: list[Ctx], results: list[Type]) -> None:
+        """Merge the arm contexts into ctx, the entry: bindings that diverged
+        get fresh coordinates pinned per arm inside that arm's environment,
+        so the disjunction of the environments carries the exact case split.
+        The join is satisfiable iff some arm is.
 
         Every arm's subst extends the entry's, which the join keeps.  Each
         arm contributes its residual, its pins and what it added to subst,
@@ -870,9 +839,7 @@ class Checker:
         if len(arms) == 1:
             ctx.restore(arms[0])
             return
-        phis = [a.phi for a in arms]
-        facts = [[a.residual] for a in arms]
-        sats = [a.sat for a in arms]
+        entry_subst = ctx.subst
         ctx.logical_vars = set().union(*(a.logical_vars for a in arms))
         scopes: list[dict[str, Binding]] = []
         for level in range(min(len(a.scopes) for a in arms)):
@@ -886,32 +853,31 @@ class Checker:
                 if all(t == types[0] for t in types[1:]):
                     scope[name] = Binding(types[0], mutable)
                     continue
-                joined = self._join_binding(ctx, types, arms, phis, facts, sats)
+                joined = self._join_binding(ctx, types, arms)
                 scope[name] = Binding(joined, mutable)
             scopes.append(scope)
         ctx.scopes = scopes
-        ctx.phi = disj(*phis)          # of simplified formulas, so simplified
-        kept = set().union(*(t.variables() for t in entry.subst.values()))
+        ctx.phi = disj(*(a.phi for a in arms))  # each simplified, so simplified
+        kept = set().union(*(t.variables() for t in entry_subst.values()))
         live = kept.union(ctx.annot_names.values())
         for ty in [b.type for scope in scopes for b in scope.values()] + results:
             live |= _type_vars(ty)
-        for a, f in zip(arms, facts):
-            added = islice(a.subst.items(), len(entry.subst), None)
-            f += [eq(Var(v), t) for v, t in added if v in live]
-        parts = [conj(*f) for f in facts]
+        parts = []
+        for a in arms:
+            added = islice(a.subst.items(), len(entry_subst), None)
+            parts.append(conj(a.residual, *(eq(Var(v), t) for v, t in added if v in live)))
         merged = disj(*(solved_form(p, free_vars(p) - live)[0] for p in parts))
         if isinstance(merged, Or):
             merged = compact(merged)
         # what every arm pins goes into subst
         ctx.residual, values = solved_form(merged, free_vars(merged) - kept)
-        ctx.subst = {**entry.subst, **values}
+        ctx.subst = {**entry_subst, **values}
         ctx.pinned = kept.union(free_vars(ctx.residual),
                                 *(t.variables() for t in values.values()))
+        sats = [a.sat for a in arms]
         ctx.sat = True if any(sats) else None if None in sats else False
 
-    def _join_binding(self, ctx: Ctx, types: list[Type], arms: list[Ctx],
-                      phis: list[Formula], facts: list[list[Formula]],
-                      sats: list[Optional[bool]]) -> Type:
+    def _join_binding(self, ctx: Ctx, types: list[Type], arms: list[Ctx]) -> Type:
         perms = [t.perm if isinstance(t, PermPair) else None for t in types]
         inners = [strip_perm(t) for t in types]
         insts = [t if isinstance(t, InstanceType) else None for t in inners]
@@ -926,16 +892,18 @@ class Checker:
             fam = ctx.st.find_family(insts[0].family)
             fresh = [ctx.fresh(c) for c in fam.coord_vars]
             ctx.logical_vars.update(fresh)
-            for k, inst in enumerate(insts):
+            for arm, inst in zip(arms, insts):
                 pins = simplify(conj(*(eq(Var(w), arg)
                                        for w, arg in zip(fresh, inst.args)),
                                      inst.constraint))
-                phis[k] = conj(phis[k], pins)
-                facts[k].append(arms[k].apply(pins))
+                # not through assume: its solved_form per pin costs more than
+                # the join's single solved_form over the disjunction
+                arm.phi = conj(arm.phi, pins)
+                arm.residual = conj(arm.residual, arm.apply(pins))
                 # pinning fresh coordinates keeps an arm satisfiable; a
                 # constraint may not
-                if sats[k] and inst.constraint != TRUE:
-                    sats[k] = None
+                if arm.sat and inst.constraint != TRUE:
+                    arm.sat = None
             joined: Type = InstanceType(insts[0].family,
                                         tuple(Var(w) for w in fresh), TRUE, lca)
         else:
@@ -999,7 +967,7 @@ class Checker:
                                f"does not mention its coordinates", e.span)
 
         # fall-through: all the loop guarantees is the invariant
-        ctx.restore(head.copy())
+        ctx.restore(head)
         if not (isinstance(e.cond, ast.BoolLit) and e.cond.value is False):
             self._widen(ctx, tracked, inv)
         return body_type
@@ -1243,34 +1211,12 @@ def reduce_to_paf(rel, st: StateTable) -> Formula:
     """Encode a typing relation as a formula valid exactly when the relation
     is derivable; the single funnel every relation can be replayed through."""
     match rel:
-        case WfRel(ty):
-            return _psi_wf(ty, st)
         case SubRel(t1, t2):
             return _psi_sub(t1, t2, st)
         case EqRel(t1, t2):
             return conj(_psi_sub(t1, t2, st), _psi_sub(t2, t1, st))
-        case TransRel(pre, body, post):
-            return implies(conj(_psi_wf(pre, st), _psi_wf(body, st)),
-                           _psi_wf(post, st))
     raise BrtsError("UnsupportedRelation",
                     f"no arithmetic reduction for {rel!r}")
-
-
-def _psi_wf(ty: Type, st: StateTable) -> Formula:
-    match ty:
-        case PrimType():
-            v = Var("wf$")
-            return exists_many(["wf$"], ne(v, Const(0)))
-        case StateRef(name):
-            return _psi_state(name, st)
-        case PermPair(_, inner):
-            return _psi_wf(inner, st)
-        case InstanceType():
-            coords = sorted(free_vars(ty.constraint))
-            return exists_many(coords, conj(ty.constraint, _psi_state(ty.state, st)))
-        case ChangeType(pre, post):
-            return conj(_psi_wf(pre, st), _psi_wf(post, st))
-    raise BrtsError("UnsupportedRelation", f"no formula for type {ty!r}")
 
 
 def _psi_state(name: str, st: StateTable) -> Formula:
@@ -1341,10 +1287,6 @@ def _project(context: Formula, coords: tuple[str, ...],
     for name, arg in zip(coords, inst.args):
         facts.append(eq(Var(name), arg))
     return simplify(project_onto(conj(*facts), coords))
-
-
-def strip_perm(ty: Type) -> Type:
-    return ty.inner if isinstance(ty, PermPair) else ty
 
 
 def _instance_part(ty: Type) -> Optional[InstanceType]:

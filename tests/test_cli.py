@@ -436,6 +436,7 @@ def test_malformed_init_line_is_a_located_exit_two(tmp_path, init, reason, args)
      "final formula mentions names that are not coordinates of the initial "
      "object: ['z']"),
     (("--final-state", "Nope"), "final state 'Nope' is not declared"),
+    (("--final-formula", "n >= "), "expected an arithmetic term, found 'end of input'"),
 ])
 def test_simulate_rejects_unknown_finals(option, reason):
     out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",

@@ -64,7 +64,7 @@ def hash_or_unhashable(obj):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 68
+    assert len(RECORDS) == 66
     assert NOT_FROZEN <= {c.__name__ for c in RECORDS}
 
 
