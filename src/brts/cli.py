@@ -57,10 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("machine", help=".mca machine file")
     sim.add_argument("program", help=".brts program supplying the annotations")
     sim.add_argument("--bound", type=int, default=3)
-    sim.add_argument("--final-state", default=None,
-                     help="program-side states at or below this one are final")
-    sim.add_argument("--final-formula", default=None,
-                     help="program-side valuations satisfying this formula are final")
+    finals = sim.add_mutually_exclusive_group()
+    finals.add_argument("--final-state", default=None,
+                        help="program-side states at or below this one are final")
+    finals.add_argument("--final-formula", default=None,
+                        help="program-side valuations satisfying this formula are final")
     sim.add_argument("--json", action="store_true")
 
     reach = sub.add_parser("reach", help="search a machine for a bad valuation")

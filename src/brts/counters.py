@@ -25,10 +25,13 @@ An `Lts` holds its initial state, its states in the order the walk found
 them, the moves of each and its final states.
 
 Simulation is the greatest relation left by round-based (Jacobi)
-refinement, run bit-parallel: the relation is one Python int over pairs of
-state positions, and each side lays its states out on a grid over
-(control, valuation), so that all moves with one label and one shift of
-position act on the relation as a single shift and mask.  Counterexamples
+refinement.  Where each side lies densely on a grid over (control,
+valuation) it runs bit-parallel: the relation is one Python int over pairs
+of grid positions, and all moves with one label and one shift of position
+act on it as a single shift and mask.  Elsewhere predecessor counters find
+the same rounds.  The relation is kept as its route computed it, the int
+or the array of rounds, so its size is a count, a membership test reads
+one byte, and the set of pairs is built only when read.  Counterexamples
 are rebuilt from the rounds in which pairs fell.
 """
 
@@ -38,8 +41,8 @@ import itertools
 import json
 from array import array
 from collections import Counter, deque
-from functools import lru_cache
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -401,12 +404,48 @@ def _compile_contract(ann: Annotation) -> Callable:
 # Simulation
 # ---------------------------------------------------------------------------
 
-@record
 class SimulationRelation:
-    pairs: set[tuple[LtsState, LtsState]]
+    """A simulation relation as the route of `check_simulation` that found
+    it computed it: the number of its pairs, the index of each state of
+    either side, and `flags()`, one byte per pair of indexes (i, j) at
+    `i * nq + j`, 1 where that pair of states is in the relation.  `size()`
+    and `in` read these, the flags made on the first `in`; `pairs` is built
+    on its first read, and kept.  Built from a set of pairs, the relation
+    is that set."""
+
+    def __init__(self, pairs: Optional[set] = None, *, size: int = 0,
+                 flags: Optional[Callable[[], bytes]] = None,
+                 p_index: Optional[dict] = None, q_index: Optional[dict] = None, nq: int = 0):
+        if pairs is not None:
+            self.pairs, size = pairs, len(pairs)
+        self._size, self._flags, self._nq = size, flags, nq
+        self._p_index, self._q_index = p_index, q_index
 
     def size(self) -> int:
-        return len(self.pairs)
+        return self._size
+
+    @cached_property
+    def _bits(self) -> bytes:
+        return self._flags()
+
+    def __contains__(self, pair: tuple[LtsState, LtsState]) -> bool:
+        if self._flags is None:
+            return pair in self.pairs
+        i, j = self._p_index.get(pair[0]), self._q_index.get(pair[1])
+        if i is None or j is None:
+            return False
+        k = i * self._nq + j
+        return self._bits[k:k + 1] == b"\1"
+
+    @cached_property
+    def pairs(self) -> set[tuple[LtsState, LtsState]]:
+        bits, nq, q_at = self._bits, self._nq, [None] * self._nq
+        for q, j in self._q_index.items():
+            q_at[j] = q
+        pairs: set[tuple[LtsState, LtsState]] = set()
+        for p, i in self._p_index.items():
+            pairs.update(zip(repeat(p), compress(q_at, bits[i * nq:(i + 1) * nq])))
+        return pairs
 
 
 @record
@@ -447,18 +486,11 @@ class _Grid:
             base[c] = self.size - lo
             self.size += hi - lo + 1
         self.at = [base[s.control] + f for s, f in zip(states, flat)]
-        self.index = dict(zip(states, self.at)).__getitem__
+        self.index = dict(zip(states, self.at))
         self.groups: dict[tuple[str, int], list[int]] = {}
         for s, i in zip(states, self.at):
             for a, s2 in lts.moves(s):
-                self.groups.setdefault((a, self.index(s2) - i), []).append(i)
-
-    def states_at(self, lts: Lts) -> list[Optional[LtsState]]:
-        """The state at each position, None between states."""
-        state_at: list[Optional[LtsState]] = [None] * self.size
-        for s, i in zip(lts.states, self.at):
-            state_at[i] = s
-        return state_at
+                self.groups.setdefault((a, self.index[s2] - i), []).append(i)
 
 
 # the most bits of masks per pair of states for which `check_simulation`
@@ -555,7 +587,7 @@ def _grid_simulation(sim: Lts, simulated: Lts, ps: _Grid, qs: _Grid):
     non_final = [i for s, i in zip(sim.states, ps.at) if s not in sim.finals]
     final = [j for s, j in zip(simulated.states, qs.at) if s in simulated.finals]
     rel = rows(ps.at) & columns(qs.at) & ~(rows(non_final) & columns(final))
-    initial = ps.index(sim.initial) * nq + qs.index(simulated.initial)
+    initial = ps.index[sim.initial] * nq + qs.index[simulated.initial]
     digits: list[int] = []      # digit d holds the removed pairs whose round has bit d
     rnd = 0
     while rel >> initial & 1:
@@ -569,12 +601,10 @@ def _grid_simulation(sim: Lts, simulated: Lts, ps: _Grid, qs: _Grid):
         for a, shift, outside in needs:
             kept &= outside | _shifted(matched[a], shift)
         if kept == rel:
-            # byte k of `bits` is bit k of the relation
-            bits = bin(rel)[:1:-1].encode().translate(_BITS)
-            q_at = qs.states_at(simulated)
-            return SimulationRelation({
-                (p, q) for i, p in enumerate(ps.states_at(sim))
-                for q in compress(q_at, bits[i * nq:(i + 1) * nq])})
+            # byte k of the flags is bit k of the relation
+            return SimulationRelation(
+                size=rel.bit_count(), flags=lambda: bin(rel)[:1:-1].encode().translate(_BITS),
+                p_index=ps.index, q_index=qs.index, nq=nq)
         rnd += 1
         removed = rel ^ kept
         for d in range(rnd.bit_length()):
@@ -587,7 +617,7 @@ def _grid_simulation(sim: Lts, simulated: Lts, ps: _Grid, qs: _Grid):
     def removed_round(p: LtsState, q: LtsState) -> int:
         # -1 for a pair still in the relation, as every pair removed after
         # the initial one is
-        k = ps.index(p) * nq + qs.index(q)
+        k = ps.index[p] * nq + qs.index[q]
         if rel >> k & 1:
             return -1
         return sum((digit >> k & 1) << d for d, digit in enumerate(digits))
@@ -680,8 +710,9 @@ def _counting_simulation(sim: Lts, simulated: Lts):
         return rounds[p_id[p] * nq + q_id[q]]
 
     if removed_round(sim.initial, simulated.initial) < 0:
-        return SimulationRelation({(ps[k // nq], qs[k % nq])
-                                   for k, r in enumerate(rounds) if r < 0})
+        return SimulationRelation(size=rounds.count(-1),
+                                  flags=lambda: bytes(map((-1).__eq__, rounds)),
+                                  p_index=p_id, q_index=q_id, nq=nq)
 
     return _refutation(sim, simulated, removed_round)
 
@@ -722,7 +753,7 @@ def verify_simulation(rel: SimulationRelation, sim: Lts, simulated: Lts) -> bool
         if q in simulated.finals and p not in sim.finals:
             return False
         for a, q2 in simulated.moves(q):
-            if not any(b == a and (p2, q2) in rel.pairs for b, p2 in sim.moves(p)):
+            if not any(b == a and (p2, q2) in rel for b, p2 in sim.moves(p)):
                 return False
     return True
 
@@ -985,6 +1016,7 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
     finals: set[str] = set()
     transitions: list[Transition] = []
     invariant = None
+    named: list[tuple[str, int]] = []      # the states init and final lines name
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -1000,6 +1032,9 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
                                        f"{name}:{lineno}: counter '{twice[0]}' is "
                                        f"declared twice")
             elif head == "state":
+                if rest in states:
+                    raise MachineError("ParseError",
+                                       f"{name}:{lineno}: state '{rest}' is declared twice")
                 states.append(rest)
             elif head == "init":
                 parts = rest.split()
@@ -1014,8 +1049,10 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
                                        f"{name}:{lineno}: init values must be integers, "
                                        f"got '{' '.join(parts[1:])}'") from None
                 initial = parts[0]
+                named.append((initial, lineno))
             elif head == "final":
                 finals.update(rest.split())
+                named += [(f, lineno) for f in rest.split()]
             elif head == "invariant":
                 invariant = parse_formula(rest)
             elif head == "trans":
@@ -1032,6 +1069,10 @@ def parse_machine(text: str, name: str = "machine") -> CounterMachine:
                                f"{name}:{lineno}: {err.diagnostic.message}") from err
     if initial is None:
         raise MachineError("ParseError", f"{name}: missing init line")
+    for state, lineno in named:
+        if state not in states:
+            raise MachineError("ParseError",
+                               f"{name}:{lineno}: state '{state}' is not declared")
     if len(init_val) != len(counters):
         raise MachineError("ParseError",
                            f"{name}: init gives {len(init_val)} values for "

@@ -446,6 +446,15 @@ def test_simulate_rejects_unknown_finals(option, reason):
     assert out.stderr == f"corpus/dyck/good.brts: error: {reason}\n"
 
 
+def test_simulate_takes_one_kind_of_finals():
+    # the formula used to be ignored silently when a final state was given
+    out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",
+               "--final-state", "Dyck", "--final-formula", "n == m")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "not allowed with argument" in out.stderr
+
+
 def test_simulate_quantified_final_formula():
     out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",
                "--bound", "3", "--final-formula", "exists k. k == n && k == m")

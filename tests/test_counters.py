@@ -97,6 +97,20 @@ def test_parse_machine_rejects_a_counter_declared_twice():
     assert str(err.value) == "dup:1: counter 'a' is declared twice"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("counters x\nstate q\ninit r 0\ntrans q -> q : go : x' == x + 1\n",
+     "bad:3: state 'r' is not declared"),
+    ("counters x\nstate q\ninit q 0\nfinal q r\n", "bad:4: state 'r' is not declared"),
+    ("counters x\nstate q\nstate q\ninit q 0\n", "bad:3: state 'q' is declared twice"),
+], ids=["init", "final", "twice"])
+def test_parse_machine_rejects_states_not_declared_once(text, message):
+    # an undeclared initial state used to root an LTS that no transition leaves
+    with pytest.raises(MachineError) as err:
+        parse_machine(text, "bad")
+    assert err.value.kind == "ParseError"
+    assert str(err.value) == message
+
+
 def test_mca_to_lts_contains_consume_edge():
     lts = mca_to_lts(prodcons_machine(), bound=3)
     src = LtsState("open", (2, 0))

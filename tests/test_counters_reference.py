@@ -40,9 +40,19 @@ CORPUS = ROOT / "corpus"
 FINALS = {"prodcons": ("state", "OpenBuffer"), "dyck": ("formula", "n == m")}
 
 
-def same_outcome(got, want) -> None:
+# a state of neither side of any simulation these tests check
+STRANGER = LtsState("\0", ())
+
+
+def same_outcome(got, want, sim: Lts, simulated: Lts) -> None:
     assert type(got) is type(want)
     if isinstance(want, SimulationRelation):
+        # size and membership first, before anything builds the pair set
+        assert got.size() == len(want.pairs)
+        assert all(((p, q) in got) == ((p, q) in want.pairs)
+                   for p in sim.states for q in simulated.states)
+        assert (STRANGER, simulated.initial) not in got
+        assert (sim.initial, STRANGER) not in got
         assert got.pairs == want.pairs
     else:
         assert got.steps == want.steps
@@ -59,12 +69,12 @@ def simulation_agrees(sim: Lts, simulated: Lts):
     be too large for `check_simulation` to take it, as long as the grids
     have at most 2**20 pairs of positions."""
     want = reference_simulation(sim, simulated)
-    same_outcome(check_simulation(sim, simulated), want)
-    same_outcome(_counting_simulation(sim, simulated), want)
+    same_outcome(check_simulation(sim, simulated), want, sim, simulated)
+    same_outcome(_counting_simulation(sim, simulated), want, sim, simulated)
     if one_length(sim) and one_length(simulated):
         ps, qs = _Grid(sim), _Grid(simulated)
         if ps.size * qs.size <= 1 << 20:
-            same_outcome(_grid_simulation(sim, simulated, ps, qs), want)
+            same_outcome(_grid_simulation(sim, simulated, ps, qs), want, sim, simulated)
     return want
 
 
@@ -200,6 +210,15 @@ def test_simulation_matches_reference_on_corpus(case, bound):
     br, machine = corpus_lts(case, bound)
     for sim, simulated in [(br, machine), (machine, br), (machine, machine)]:
         simulation_agrees(sim, simulated)
+
+
+def test_size_and_membership_do_not_build_the_pairs():
+    br, machine = corpus_lts("prodcons", 6)
+    for rel in (_grid_simulation(br, machine, _Grid(br), _Grid(machine)),
+                _counting_simulation(br, machine)):
+        assert rel.size() == 420 and (br.initial, machine.initial) in rel
+        assert "pairs" not in vars(rel)
+        assert len(rel.pairs) == 420
 
 
 @pytest.mark.parametrize("bound", [3, 6, 9])
