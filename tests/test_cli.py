@@ -447,7 +447,7 @@ def test_simulate_rejects_unknown_finals(option, reason):
 
 
 def test_simulate_takes_one_kind_of_finals():
-    # the formula used to be ignored silently when a final state was given
+    # with both, one of the two would have to be ignored
     out = brts("simulate", "corpus/dyck/machine.mca", "corpus/dyck/good.brts",
                "--final-state", "Dyck", "--final-formula", "n == m")
     assert out.returncode == 2

@@ -104,7 +104,7 @@ def test_parse_machine_rejects_a_counter_declared_twice():
     ("counters x\nstate q\nstate q\ninit q 0\n", "bad:3: state 'q' is declared twice"),
 ], ids=["init", "final", "twice"])
 def test_parse_machine_rejects_states_not_declared_once(text, message):
-    # an undeclared initial state used to root an LTS that no transition leaves
+    # an undeclared initial state would root an LTS that no transition leaves
     with pytest.raises(MachineError) as err:
         parse_machine(text, "bad")
     assert err.value.kind == "ParseError"
