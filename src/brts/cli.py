@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,9 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="typecheck programs")
     check.add_argument("files", nargs="+")
-    check.add_argument("--json", action="store_true", help="machine-readable diagnostics")
-    check.add_argument("--emit-obligations", action="store_true",
-                       help="dump every solver obligation as JSON lines")
+    # one stdout holds either a JSON array or JSON lines
+    output = check.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="machine-readable diagnostics")
+    output.add_argument("--emit-obligations", action="store_true",
+                        help="dump every solver obligation as JSON lines")
 
     run = sub.add_parser("run", help="evaluate a program's main method")
     run.add_argument("file")
@@ -109,17 +112,17 @@ def cmd_check(args) -> int:
     worst = EXIT_OK
     payload = []
     for name in args.files:
-        path = Path(name)
         source = read_source(name)
         if source is None:
-            return EXIT_PARSE
-        code, checker, diags = check_source(source, str(path))
+            worst = max(worst, EXIT_PARSE)
+            continue
+        code, checker, diags = check_source(source, name)
         worst = max(worst, code)
         if args.json:
-            payload.extend(d.to_json(str(path)) for d in diags)
+            payload.extend(d.to_json(name) for d in diags)
         else:
             for d in diags:
-                print(d.render(str(path)), file=sys.stderr)
+                print(d.render(name), file=sys.stderr)
         if args.emit_obligations and checker is not None:
             for ob in checker.obligations:
                 print(json.dumps(ob.to_json()))
@@ -164,21 +167,21 @@ def render_value(value) -> str:
 
 
 def cmd_run(args) -> int:
-    path = Path(args.file)
-    source = read_source(args.file)
+    path = args.file
+    source = read_source(path)
     if source is None:
         return EXIT_PARSE
     if args.unchecked:
         try:
-            program = parse_program(source, str(path))
+            program = parse_program(source, path)
             table = state_table(program)
         except BrtsError as err:
-            print(err.diagnostic.render(str(path)), file=sys.stderr)
+            print(err.diagnostic.render(path), file=sys.stderr)
             return EXIT_PARSE
     else:
-        code, checker, diags = check_source(source, str(path))
+        code, checker, diags = check_source(source, path)
         for d in diags:
-            print(d.render(str(path)), file=sys.stderr)
+            print(d.render(path), file=sys.stderr)
         if code != EXIT_OK:
             return code
         program, table = checker.program, checker.st
@@ -318,14 +321,14 @@ def cmd_explain(args) -> int:
     except ValueError:
         print("error: --at expects LINE:COL", file=sys.stderr)
         return EXIT_PARSE
-    path = Path(args.file)
-    source = read_source(args.file)
+    path = args.file
+    source = read_source(path)
     if source is None:
         return EXIT_PARSE
-    code, checker, diags = check_source(source, str(path))
+    code, checker, diags = check_source(source, path)
     if checker is None:
         for d in diags:
-            print(d.render(str(path)), file=sys.stderr)
+            print(d.render(path), file=sys.stderr)
         print("error: the file must parse before it can be explained",
               file=sys.stderr)
         return EXIT_PARSE
@@ -351,14 +354,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    path = Path(args.file)
     source = read_source(args.file)
     if source is None:
         return EXIT_PARSE
     try:
-        program = parse_program(source, str(path))
+        program = parse_program(source, args.file)
     except BrtsError as err:
-        print(err.diagnostic.render(str(path)), file=sys.stderr)
+        print(err.diagnostic.render(args.file), file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(print_program(program))
     return EXIT_OK
@@ -387,7 +389,17 @@ def main(argv: list[str] | None = None) -> int:
         "export-lts": cmd_export_lts,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as err:
+        # the reader closed stdout; what is still buffered goes nowhere, so
+        # that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"<stdout>: error: {err}", file=sys.stderr)
+        return EXIT_PARSE
     except (BrtsError,) as err:
         print(err.diagnostic.render(), file=sys.stderr)
         return EXIT_PARSE if err.kind in PARSE_LEVEL else EXIT_TYPE

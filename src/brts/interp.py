@@ -6,11 +6,13 @@ at a dependent typestate carry their coordinate valuation; signature-driven
 transitions rewrite those coordinates at runtime, which is what the trace
 tooling reads back out.
 
+Evaluation mutates the one store it is given and returns only the value.
 Two match semantics are provided: concrete mode picks the first arm whose
 guard state covers the scrutinee's tag, abstract mode evaluates every arm
-and joins the results into an indexed value with a merged store.  Loops
-iterate in concrete mode; abstract mode takes the body once, standing in
-for the fixpoint the checked invariant witnesses.
+on its own fork of the store, joins the results into an indexed value and
+joins the forks back into the store.  Loops iterate in concrete mode;
+abstract mode takes the body once, standing in for the fixpoint the checked
+invariant witnesses.
 """
 
 from __future__ import annotations
@@ -161,12 +163,15 @@ class Store:
     def lookup(self, name: str) -> Optional[Value]:
         return self.vars.get(name)
 
-    def join(self, other: "Store") -> "Store":
-        out = self.copy()
-        for k, v in other.vars.items():
-            out.vars[k] = join_values(out.vars[k], v) if k in out.vars else v
-        out._next_loc = max(self._next_loc, other._next_loc)
-        return out
+    def join(self, forks: list["Store"]) -> None:
+        """Become the join of forks, copies of this store that evaluation
+        went on in."""
+        joined = dict(forks[0].vars)
+        for fork in forks[1:]:
+            for k, v in fork.vars.items():
+                joined[k] = join_values(joined[k], v) if k in joined else v
+        self.vars = joined
+        self._next_loc = max(fork._next_loc for fork in forks)
 
 
 def default(ty: Type) -> Value:
@@ -267,59 +272,55 @@ class Interp:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, store: Store, e: ast.Expr) -> tuple[Value, Store]:
+    def eval(self, store: Store, e: ast.Expr) -> Value:
         self._spend(getattr(e, "span", NO_SPAN))
         match e:
             case ast.IntLit(v):
                 self._emit("const", e.span)
-                return IntV(v), store
+                return IntV(v)
             case ast.BoolLit(v):
                 self._emit("const", e.span)
-                return BoolV(v), store
+                return BoolV(v)
             case ast.StrLit(v):
                 self._emit("const", e.span)
-                return StrV(v), store
+                return StrV(v)
             case ast.VarRef(name, span):
-                value = store.lookup(name)
-                if value is None:
-                    raise RuntimeErr("UnboundRuntimeName",
-                                     f"'{name}' is not bound at runtime", span)
+                value = self._lookup(store, name, span)
                 self._emit("var", span, name=name)
-                return value, store
+                return value
             case ast.NewObj(state, inst, ctor_args, span):
                 for a in ctor_args:
-                    _, store = self.eval(store, a)
+                    self.eval(store, a)
                 obj = self._new_object(state, inst, store, span)
                 self._emit("new", span, state=state,
                            coords=list(obj.coords) if obj.coords else None)
-                return obj, store
+                return obj
             case ast.TypestateLit(_, inst, span):
                 coords = tuple(self._eval_term(a, span) for a in inst.args)
                 obj = ObjV(inst.state, (), coords if inst.args else None,
                            inst.family, store.fresh_loc())
                 self._emit("typestate", span, state=inst.state, coords=list(coords))
-                return obj, store
+                return obj
             case ast.FieldRef(obj_e, name, span):
-                obj, store = self.eval(store, obj_e)
-                obj = self._deref(obj, span)
+                obj = self._deref(self.eval(store, obj_e), span)
                 value = obj.field_value(name)
                 if value is None:
                     raise RuntimeErr("UnboundRuntimeName",
                                      f"object has no field '{name}'", span)
                 self._emit("de-ref", span, field=name)
-                return value, store
+                return value
             case ast.Block(stmts):
                 return self.eval_block(store, stmts)
             case ast.Let(name, init, body, span):
-                value, store = self.eval(store, init)
+                value = self.eval(store, init)
                 shadowed = store.saved(name)
                 store.bind(name, value)
                 self._emit("let", span, name=name)
-                value, store = self.eval(store, body)
+                value = self.eval(store, body)
                 store.restore(name, shadowed)
-                return value, store
+                return value
             case ast.FieldAssign(target, name, value_e, body, span):
-                value, store = self.eval(store, value_e)
+                value = self.eval(store, value_e)
                 obj = self._deref(self._lookup(store, target, span), span)
                 if obj.field_value(name) is None:
                     raise RuntimeErr("UnboundRuntimeName",
@@ -334,7 +335,7 @@ class Interp:
             case ast.Match():
                 return self.eval_match(store, e)
             case ast.CaseExpr(scrut, body, span):
-                _, store = self.eval(store, scrut)
+                self.eval(store, scrut)
                 self._emit("case", span)
                 return self.eval(store, body)
             case ast.While():
@@ -342,7 +343,7 @@ class Interp:
         raise RuntimeErr("UnboundRuntimeName", f"cannot evaluate {e!r}")
 
     def eval_block(self, store: Store, stmts: tuple[ast.Expr, ...],
-                   scoped: bool = True) -> tuple[Value, Store]:
+                   scoped: bool = True) -> Value:
         """Each declaration binds over the rest of the block.  When a scoped
         block ends, its declarations go out of scope: each name is unbound,
         or bound again to what it shadowed."""
@@ -351,7 +352,7 @@ class Interp:
         for stmt in stmts:
             if isinstance(stmt, ast.VarDecl):
                 self._spend(stmt.span)
-                value, store = self.eval(store, stmt.init)
+                value = self.eval(store, stmt.init)
                 if isinstance(stmt.init, ast.NewObj) and stmt.declared is not None:
                     value = self._adopt_declared(value, stmt.declared)
                 if stmt.name not in shadowed:
@@ -360,11 +361,11 @@ class Interp:
                 self._emit("let", stmt.span, name=stmt.name)
                 value = UNIT
             else:
-                value, store = self.eval(store, stmt)
+                value = self.eval(store, stmt)
         if scoped:
             for name, old in shadowed.items():
                 store.restore(name, old)
-        return value, store
+        return value
 
     def _lookup(self, store: Store, name: str, span: Span) -> Value:
         value = store.lookup(name)
@@ -402,8 +403,8 @@ class Interp:
         return value
 
     def eval_update(self, store: Store, target: ast.Expr, source: ast.Expr,
-                    span: Span) -> tuple[Value, Store]:
-        src_value, store = self.eval(store, source)
+                    span: Span) -> Value:
+        src_value = self.eval(store, source)
         if not isinstance(target, ast.VarRef):
             raise RuntimeErr("UnboundRuntimeName", "update target must be a variable", span)
         old = store.lookup(target.name)
@@ -418,22 +419,18 @@ class Interp:
         self._emit("update", span, name=target.name,
                    coords=list(new_value.coords) if isinstance(new_value, ObjV)
                    and new_value.coords else None)
-        return new_value, store
+        return new_value
 
     # -- method calls ------------------------------------------------------------
 
-    def eval_call(self, store: Store, e: ast.MethodCall) -> tuple[Value, Store]:
-        recv, store = self.eval(store, e.recv)
-        recv_obj = self._deref(recv, e.span)
+    def eval_call(self, store: Store, e: ast.MethodCall) -> Value:
+        recv_obj = self._deref(self.eval(store, e.recv), e.span)
         try:
             defined_in, decl = find_method_decl(self.st, e.method, recv_obj.state)
         except BrtsError as err:
             raise RuntimeErr("NoSuchMethod", str(err), e.span) from None
 
-        arg_values: list[Value] = []
-        for a in e.args:
-            v, store = self.eval(store, a)
-            arg_values.append(v)
+        arg_values = [self.eval(store, a) for a in e.args]
 
         sigma = self._instantiate(decl, arg_values, recv_obj)
         names = [p.name for p in decl.params] + ["this"]
@@ -445,7 +442,7 @@ class Interp:
         self._sigma_stack.append(sigma)
         try:
             if decl.body is not None:
-                result, store = self.eval(store, decl.body)
+                result = self.eval(store, decl.body)
             else:
                 # trusted signature: apply the declared transition directly
                 result = UNIT
@@ -479,7 +476,7 @@ class Interp:
                 coords = list(v.coords)
         self._emit("mcall", e.span, method=e.method, state=defined_in,
                    coords=coords, depth=len(self._sigma_stack) - 1)
-        return result, store
+        return result
 
     def _instantiate(self, decl: ast.MethodDecl, args: list[Value],
                      recv: ObjV) -> dict[str, int]:
@@ -535,9 +532,8 @@ class Interp:
 
     # -- match -------------------------------------------------------------------
 
-    def eval_match(self, store: Store, e: ast.Match) -> tuple[Value, Store]:
-        scrut, store = self.eval(store, e.scrutinee)
-        obj = self._deref(scrut, e.span)
+    def eval_match(self, store: Store, e: ast.Match) -> Value:
+        obj = self._deref(self.eval(store, e.scrutinee), e.span)
         scrut_name = e.scrutinee.name if isinstance(e.scrutinee, ast.VarRef) else None
 
         if self.mode == "concrete":
@@ -553,51 +549,48 @@ class Interp:
 
         # abstract mode: take every arm the hierarchy allows, join the outcomes
         results: list[Value] = []
-        stores: list[Store] = []
+        forks: list[Store] = []
         arms = list(e.arms)
         if e.default is not None:
             arms.append(ast.MatchArm(obj.state, e.default, e.span))
         for arm in arms:
             if not self.st.comparable(obj.state, arm.state):
                 continue
-            branch = store.copy()
+            fork = store.copy()
             if scrut_name is not None:
                 refined = arm.state if self.st.is_substate(arm.state, obj.state) \
                     else obj.state
-                branch.bind(scrut_name, replace(obj, state=refined))
-            v, out = self.eval(branch, arm.body)
-            results.append(v)
-            stores.append(out)
+                fork.bind(scrut_name, replace(obj, state=refined))
+            results.append(self.eval(fork, arm.body))
+            forks.append(fork)
         if not results:
             raise RuntimeErr("NoMatchingArm",
                              f"no arm matches state '{obj.state}'", e.span)
         self._emit("match", e.span, arms=len(results), mode="abstract")
-        joined_store = stores[0]
-        for s in stores[1:]:
-            joined_store = joined_store.join(s)
+        store.join(forks)
         value = results[0]
         for v in results[1:]:
             value = join_values(value, v)
-        return value, joined_store
+        return value
 
     # -- while --------------------------------------------------------------------
 
-    def eval_while(self, store: Store, e: ast.While) -> tuple[Value, Store]:
+    def eval_while(self, store: Store, e: ast.While) -> Value:
         if self.mode == "abstract":
-            cond, store = self.eval(store, e.cond)
-            _, store = self.eval(store, e.body)
+            self.eval(store, e.cond)
+            self.eval(store, e.body)
             self._emit("while", e.span, mode="abstract")
-            return UNIT, store
+            return UNIT
         while True:
-            cond, store = self.eval(store, e.cond)
+            cond = self.eval(store, e.cond)
             if not isinstance(cond, BoolV):
                 raise RuntimeErr("UnboundRuntimeName",
                                  "loop condition is not a bool", e.span)
             if not cond.value:
                 self._emit("while-false", e.span)
-                return UNIT, store
+                return UNIT
             self._emit("while-true", e.span)
-            _, store = self.eval(store, e.body)
+            self.eval(store, e.body)
 
 
 # the (argument, coordinate, pre term) equations, argument -1 standing for the
@@ -646,7 +639,7 @@ def run_program(program: ast.Program, mode: str = "concrete",
     if isinstance(body, ast.Block):
         # main's own declarations stay in the store the caller gets back
         interp._spend(body.span)
-        value, store = interp.eval_block(store, body.stmts, scoped=False)
+        value = interp.eval_block(store, body.stmts, scoped=False)
     else:
-        value, store = interp.eval(store, body)
+        value = interp.eval(store, body)
     return value, interp, store

@@ -1,24 +1,26 @@
 """The dependent typestate checker.
 
-Judgments thread a constraint environment alongside the variable context:
-checking an expression yields its type and grows the environment with the
-facts the expression introduced.  Every constraint obligation funnels into
-the linear-arithmetic solver.  With ``audit=True`` the checker also records
-each subtype and equality query, frozen against its context, so the run can
-be replayed through the arithmetic reduction; recording is opt-in because
-freezing a type costs a projection per query.
+Judgments thread one constraint environment alongside the variable
+context: checking an expression yields its type and grows the environment
+with the facts the expression introduced.  Every constraint obligation
+funnels into the linear-arithmetic solver.  With ``audit=True`` the checker
+also records each subtype and equality query, frozen against its context,
+so the run can be replayed through the arithmetic reduction; recording is
+opt-in because freezing a type costs a projection per query.
 
-The environment is kept in solved form.  ``Ctx.subst`` maps each variable
-that a unit equality pinned to its value, and no value mentions a pinned
-variable; ``Ctx.residual`` is the rest.  An assumption is rewritten through
-``subst``, and only its own unit equalities are solved, so an obligation
-costs what its residual costs, not what the history does.  At a ``match``
-join each arm drops the variables that no longer matter and that a unit
-equality pins, and the disjuncts of the arms that pin the same values
-merge, so a run of joins leaves a residual that grows with the number of
-cases, not with the history.  ``Ctx.phi`` is the history itself, kept for
-rendering only: obligations, diagnostics and the countermodel of a failing
-obligation are stated over it.
+The environment is kept in solved form, and every verdict reads it:
+obligations, instance subtyping and equality, and the audit.  ``Ctx.subst``
+maps each variable that a unit equality pinned to its value, and no value
+mentions a pinned variable; ``Ctx.residual`` is the rest.  An assumption is
+rewritten through ``subst``, and only its own unit equalities are solved,
+so a query costs what its residual costs, not what the history does.  At a
+``match`` join each arm drops the variables that no longer matter and that
+a unit equality pins, and the disjuncts of the arms that pin the same
+values merge, so a run of joins leaves a residual that grows with the
+number of cases, not with the history.  ``Ctx.phi`` is the history itself,
+and it only renders: obligations, diagnostics, the ``but here`` of a
+failing precondition and the countermodel of a failing obligation are
+stated over it, and no verdict depends on it.
 
 The environment carries whether it is satisfiable (``Ctx.sat``: True, False
 or None for unknown), so the unreachable-code warning asks the solver only
@@ -79,7 +81,6 @@ class Ctx:
         # never rewrites residual
         self.pinned: set[str] = set()
         self.sat: Optional[bool] = True    # is phi satisfiable; None = unknown
-        self.logical_vars: set[str] = set()
         # how the enclosing signature spelled its logical variables
         self.annot_names: dict[str, str] = {}
 
@@ -89,7 +90,6 @@ class Ctx:
         c.scopes = [dict(s) for s in self.scopes]
         c.subst = dict(self.subst)
         c.pinned = set(self.pinned)
-        c.logical_vars = set(self.logical_vars)
         c.annot_names = dict(self.annot_names)
         return c
 
@@ -495,7 +495,6 @@ class Checker:
         for v in sorted(mentioned):
             if v not in ren:
                 ren[v] = ctx.fresh(v)
-            ctx.logical_vars.add(ren[v])
         mapping = {v: Lin.var(n) for v, n in ren.items()}
         args = tuple(a.substitute(mapping) for a in inst.args)
         constraint = substitute(inst.constraint, mapping)
@@ -579,12 +578,14 @@ class Checker:
         return False
 
     def inst_formula(self, ctx: Ctx, inst: InstanceType) -> Formula:
-        """Project what the history knows about an instance onto its
-        family's coordinate names; the user-facing shape of a typestate."""
+        """Project what the solved form knows about an instance onto its
+        family's coordinate names; what subtyping and the audit compare."""
         if inst.family is None:
             return simplify(inst.constraint)
         coords = ctx.st.find_family(inst.family).coord_vars
-        return _project(ctx.phi, coords, inst)
+        applied = replace(inst, args=tuple(a.substitute(ctx.subst) for a in inst.args),
+                          constraint=ctx.apply(inst.constraint))
+        return _project(ctx.residual, coords, applied)
 
     # -- the solver funnel ------------------------------------------------------
 
@@ -652,20 +653,18 @@ class Checker:
 
     def infer_literal(self, ctx: Ctx, e: ast.TypestateLit) -> Type:
         inst = self.resolve_instance(ctx, e.inst, e.span)
+        # the literal as written may name the signature's variables only
+        out_of_scope = sorted(_type_vars(e.inst) - ctx.annot_names.keys())
+        if out_of_scope:
+            self.error("UnboundVariable",
+                       f"logical variable '{out_of_scope[0]}' is not in scope here",
+                       e.span)
         if ctx.annot_names:
             mapping = {u: Lin.var(f) for u, f in ctx.annot_names.items()}
             inst = replace(
                 inst,
                 args=tuple(a.substitute(mapping) for a in inst.args),
                 constraint=substitute(inst.constraint, mapping))
-        scope = free_vars(inst.constraint)
-        for a in inst.args:
-            scope |= a.variables()
-        out_of_scope = sorted(scope - ctx.logical_vars)
-        if out_of_scope:
-            self.error("UnboundVariable",
-                       f"logical variable '{out_of_scope[0]}' is not in scope here",
-                       e.span)
         if inst.constraint != TRUE:
             ok = self.solve(ctx, "typestate-literal", e.span, inst.constraint)
             if not ok:
@@ -840,21 +839,16 @@ class Checker:
             ctx.restore(arms[0])
             return
         entry_subst = ctx.subst
-        ctx.logical_vars = set().union(*(a.logical_vars for a in arms))
+        # each arm is a copy of the entry that binds nothing outside its own
+        # block, and rebinding keeps mutable, so the entry names every binding
         scopes: list[dict[str, Binding]] = []
-        for level in range(min(len(a.scopes) for a in arms)):
+        for level, entry in enumerate(ctx.scopes):
             scope: dict[str, Binding] = {}
-            names = [n for n in arms[0].scopes[level]
-                     if all(n in a.scopes[level] for a in arms)]
-            for name in names:
-                bindings = [a.scopes[level][name] for a in arms]
-                types = [b.type for b in bindings]
-                mutable = all(b.mutable for b in bindings)
-                if all(t == types[0] for t in types[1:]):
-                    scope[name] = Binding(types[0], mutable)
-                    continue
-                joined = self._join_binding(ctx, types, arms)
-                scope[name] = Binding(joined, mutable)
+            for name, binding in entry.items():
+                types = [a.scopes[level][name].type for a in arms]
+                joined = types[0] if all(t == types[0] for t in types[1:]) \
+                    else self._join_binding(ctx, types, arms)
+                scope[name] = Binding(joined, binding.mutable)
             scopes.append(scope)
         ctx.scopes = scopes
         ctx.phi = disj(*(a.phi for a in arms))  # each simplified, so simplified
@@ -891,7 +885,6 @@ class Checker:
                 and insts[0].family is not None:
             fam = ctx.st.find_family(insts[0].family)
             fresh = [ctx.fresh(c) for c in fam.coord_vars]
-            ctx.logical_vars.update(fresh)
             for arm, inst in zip(arms, insts):
                 pins = simplify(conj(*(eq(Var(w), arg)
                                        for w, arg in zip(fresh, inst.args)),
@@ -1016,7 +1009,6 @@ class Checker:
             binding = ctx.lookup(name)
             inst = _instance_part(binding.type)
             fresh = {c: ctx.fresh(c) for c in coords}
-            ctx.logical_vars.update(fresh.values())
             args = tuple(Var(fresh[c]) for c in coords)
             ctx.rebind(name, _with_instance(binding.type, replace(inst, args=args)))
             ctx.assume(substitute(inv, {c: Var(n) for c, n in fresh.items()}))
@@ -1132,7 +1124,8 @@ class Checker:
                                                       conj(bindings, pre_f)))))
         pre_ok = model is None
         if not pre_ok:
-            here = render(tidy(self.inst_formula(ctx, got_i)))
+            # stated over the history, the way the notes are
+            here = render(tidy(_project(ctx.phi, coords, got_i)))
             required = render(tidy(_project(TRUE, coords, pre_i)))
             grounded = self._ground_coords(coords, got_i, model)
             self.error(
@@ -1197,9 +1190,7 @@ def instantiate_family(ctx: Ctx, fam: ast.TypeFamDecl, args: tuple[Lin, ...],
                         f"family '{fam.name}' has {len(fam.coord_vars)} coordinates, "
                         f"got {len(args)} arguments", span)
     if not args:
-        names = [ctx.fresh(c) for c in fam.coord_vars]
-        ctx.logical_vars.update(names)
-        args = tuple(Var(n) for n in names)
+        args = tuple(Var(ctx.fresh(c)) for c in fam.coord_vars)
     return InstanceType(fam.name, args, constraint, state)
 
 
@@ -1255,7 +1246,8 @@ def _psi_sub(t1: Type, t2: Type, st: StateTable) -> Formula:
 
 def freeze_type(ctx: Ctx, ty: Type) -> Type:
     """Make a type self-contained: instance components swap their argument
-    terms for the projection of everything the context knows about them."""
+    terms for the projection of everything the context's solved form knows
+    about them."""
     match ty:
         case InstanceType():
             fam = ctx.st.find_family(ty.family) if ty.family else None

@@ -318,6 +318,47 @@ def test_missing_input_file_is_a_located_exit_two(tmp_path, args):
     assert "internal error" not in out.stderr
 
 
+def test_check_reports_an_unreadable_file_and_goes_on(tmp_path):
+    missing = str(tmp_path / "missing.brts")
+    out = brts("check", "corpus/prodcons/fig6.brts", missing, "corpus/anbn/bad.brts")
+    assert out.returncode == 2
+    assert [line.split(": ")[0] for line in out.stderr.splitlines()
+            if not line.startswith(" ")] == [
+        "corpus/prodcons/fig6.brts:36:82", missing, "corpus/anbn/bad.brts:31:20"]
+    out = brts("check", "--json", "corpus/prodcons/fig6.brts", missing)
+    assert out.returncode == 2
+    assert [(d["file"], d["code"]) for d in json.loads(out.stdout)] == [
+        ("corpus/prodcons/fig6.brts", "BRTS014")]
+    assert out.stderr.startswith(f"{missing}: error: ")
+
+
+def test_check_writes_one_kind_of_output():
+    # JSON lines and then a JSON array on one stdout parse as neither
+    out = brts("check", "--json", "--emit-obligations", "corpus/anbn/bad.brts")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "not allowed with argument" in out.stderr
+
+
+@pytest.mark.parametrize("args, stream", [
+    (("check", "{name}"), "stderr"),
+    (("run", "{name}"), "stderr"),
+    (("explain", "{name}", "--at", "36:82"), "stdout"),
+    (("simulate", "corpus/prodcons/machine.mca", "{name}"), "stderr"),
+])
+def test_file_names_print_as_given(args, stream):
+    name = "./corpus/prodcons/fig6.brts"
+    out = brts(*(a.format(name=name) for a in args))
+    assert getattr(out, stream).startswith(f"{name}:36:82: ")
+
+
+def test_fmt_names_the_file_as_given(tmp_path):
+    (tmp_path / "broken.brts").write_text("state Main {\n")
+    out = brts("fmt", "./broken.brts", cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr.startswith("./broken.brts:2:1: error: ")
+
+
 @pytest.mark.parametrize("args", [
     ("check", "{bad}"),
     ("fmt", "{bad}"),
@@ -775,3 +816,28 @@ def test_string_literal_type_is_a_located_parse_error(tmp_path):
     assert out.returncode == 2
     assert out.stderr == (f"{program}:3:13: error: expected a type, "
                           f"found '\"int\"' [BRTS002]\n")
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ("check", "--emit-obligations", "corpus/prodcons/good.brts"),
+    ("check", "--json", "corpus/prodcons/fig6.brts"),
+    ("run", "--trace", "corpus/prodcons/good.brts"),
+    ("fmt", "corpus/prodcons/good.brts"),
+    ("simulate", "--json", "corpus/dyck/machine.mca", "corpus/dyck/good.brts"),
+    ("export-lts", "corpus/dyck/machine.mca"),
+    ("reach", "corpus/prodcons/machine.mca", "--bad", "c > p"),
+    ("explain", "corpus/prodcons/fig6.brts", "--at", "36:82"),
+], ids=lambda args: " ".join(args[:2]))
+def test_closed_stdout_is_a_located_exit_two(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "brts.cli", *args], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()     # the reader is gone before the first write
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert stderr.endswith("<stdout>: error: [Errno 32] Broken pipe\n")
+    assert "internal error" not in stderr and "Exception ignored" not in stderr

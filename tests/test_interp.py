@@ -59,7 +59,7 @@ def test_no_default_for_change_types():
 def test_eval_constant():
     st = state_table(parse_program("state M { void main()[] { } }"))
     interp = Interp(st)
-    value, _ = interp.eval(Store(), ast.IntLit(5))
+    value = interp.eval(Store(), ast.IntLit(5))
     assert value == IntV(5)
 
 

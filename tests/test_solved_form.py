@@ -9,7 +9,10 @@ costs a number of folded atoms that grows linearly with its length.
 """
 
 import random
+import time
 from pathlib import Path
+
+import pytest
 
 import brts.presburger as presburger
 from brts.gen import synthesize_program
@@ -18,7 +21,7 @@ from brts.presburger import (
     Const, Dvd, NotDvd, Var, compact, conj, disj, free_vars, is_satisfiable,
     neg, witness,
 )
-from brts.typecheck import Checker, check_program
+from brts.typecheck import Checker, EqRel, SubRel, _project, check_program, reduce_to_paf
 
 from oracle import bounded_equiv
 from test_presburger import VARS, _random_formula, _random_term
@@ -75,6 +78,25 @@ state Main {{
 """
 
 
+def joined_door(use: str, bound: int) -> str:
+    """One match join on the door of `match_joins`, then the joined door
+    compared with `D(phi(k, k >= bound), Door)`: as an initialiser, as a
+    method's result, or assigned to a field."""
+    join = ("        var (1, _) ops = new Ops();\n"
+            "        var (1, D(phi(0), Door)) w = new Open();\n"
+            "        match (w : Door) { case Open { ops.inc(w); } case Shut { } };\n")
+    wanted = f"(1, D(phi(k, k >= {bound}), Door))"
+    main = {
+        "init": f"    void main()[] {{\n{join}        var {wanted} v = w;\n    }}\n",
+        "return": f"    {wanted} make()[] {{\n{join}        w;\n    }}\n"
+                  "    void main()[] { }\n",
+        "field": f"    void main()[] {{\n{join}        var (1, Holder) h = new Holder();\n"
+                 "        let h.d = w in h;\n    }\n",
+    }[use]
+    head = match_joins(0).split("state Main")[0]
+    return head + f"state Holder {{ var {wanted} d; }}\nstate Main {{\n{main}}}\n"
+
+
 def stride(k: int) -> str:
     """Contracts of the form `k * x == n`, so the solver eliminates a
     variable of coefficient k."""
@@ -123,6 +145,16 @@ class HistoryChecker(Checker):
         super().note_context(ctx, span)
 
 
+class HistorySubtyping(Checker):
+    """Compares instances by projecting the whole history instead of the
+    solved form."""
+
+    def inst_formula(self, ctx, inst):
+        if inst.family is None:
+            return super().inst_formula(ctx, inst)
+        return _project(ctx.phi, ctx.st.find_family(inst.family).coord_vars, inst)
+
+
 def _programs():
     out = [(str(p.relative_to(CORPUS)), parse_program(p.read_text()))
            for p in sorted(CORPUS.glob("*/*.brts"))]
@@ -138,6 +170,8 @@ def _programs():
 
 
 PROGRAMS = _programs()
+DOORS = [(f"{use}{bound}", parse_program(joined_door(use, bound)))
+         for use in ("init", "return", "field") for bound in (0, 1)]
 
 
 def test_solved_form_answers_as_the_history_does():
@@ -153,6 +187,15 @@ def test_solved_form_answers_as_the_history_does():
                 == [d.render(name) for d in reference.diagnostics]), name
 
 
+def test_instance_subtyping_answers_as_the_history_does():
+    for name, program in PROGRAMS + DOORS:
+        checker = check_program(program, name)
+        reference = HistorySubtyping(program, name)
+        reference.run()
+        assert ([d.render(name) for d in checker.diagnostics]
+                == [d.render(name) for d in reference.diagnostics]), name
+
+
 def test_series_cover_both_verdicts_and_warnings():
     # the differential test above is only as strong as its programs
     verdicts, warnings = set(), 0
@@ -162,6 +205,31 @@ def test_series_cover_both_verdicts_and_warnings():
         warnings += sum(d.kind == "ContradictoryContext" for d in checker.diagnostics)
     assert verdicts == {True, False}
     assert warnings >= 6
+
+
+@pytest.mark.parametrize("use, marker", [
+    ("init", " v = w;"), ("return", " make()"), ("field", "let h.d")])
+def test_instance_subtyping_reads_the_join(use, marker):
+    # the joined door counts 0 or 1, so it is a D(phi(k, k >= 0)) and not
+    # a D(phi(k, k >= 1)); the error sits at the statement or method
+    assert check_program(parse_program(joined_door(use, 0))).ok
+    source = joined_door(use, 1)
+    line, text = next((i, t) for i, t in enumerate(source.splitlines(), start=1)
+                      if marker in t)
+    col = len(text) - len(text.lstrip()) + 1
+    errors = check_program(parse_program(source)).diagnostics
+    assert [(d.code, d.span.line, d.span.col) for d in errors] == [("BRTS024", line, col)]
+
+
+def test_audit_replays_a_run_of_joins_quickly():
+    start = time.perf_counter()
+    checker = check_program(parse_program(match_joins(5)), audit=True)
+    elapsed = time.perf_counter() - start
+    assert checker.ok and len(checker.query_log) > 5
+    for q in checker.query_log:
+        rel = SubRel(q.t1, q.t2) if q.kind == "subtype" else EqRel(q.t1, q.t2)
+        assert presburger.is_valid(reduce_to_paf(rel, checker.st)) == q.result, q
+    assert elapsed < 2.0, elapsed
 
 
 # ---------------------------------------------------------------------------

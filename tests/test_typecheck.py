@@ -256,6 +256,42 @@ state Main {
     assert any(e.kind == "UnboundVariable" for e in errs)
 
 
+SCOPED_LITERAL = """
+state Door { }
+state Open case of Door { }
+state Shut case of Door { }
+state Ops {
+    type D : Pi(phi(n), Door);
+    void inc((1, D(phi(n, 0 <= n), Open)) >> (1, D(phi(n + 1, 0 <= n + 1), Open)) w)[] {
+        w <- (1, D(phi(n + 1, 0 <= n + 1), Open));
+    }
+    void bump((1, D(phi(n, 0 <= n), Door)) >> (1, Door) w)[] {
+        BODY
+        match (w : Door) { case Open { this.inc(w); } case Shut { } };
+        match (w : Door) { case Open { ARM } case Shut { } };
+    }
+}
+state Main { void main()[] { } }
+"""
+
+
+@pytest.mark.parametrize("place", ["BODY", "ARM"])
+@pytest.mark.parametrize("literal, unbound", [
+    ("(1, D(phi(n, 0 <= n), Door));", None),
+    ("(1, D(phi(n >= 0), Door));", None),
+    ("w <- (1, D(phi(n + 1, 0 <= n), Open));", None),
+    ("(1, D(phi(z, 0 <= n), Door));", "z"),
+    ("(1, D(phi(z >= n), Door));", "z"),
+    ("w <- (1, D(phi(n + a), Open));", "a"),
+])
+def test_literal_names_only_the_signature_variables(place, literal, unbound):
+    # in the method body and in a match arm after a join alike
+    src = SCOPED_LITERAL.replace(place, literal).replace("BODY", "").replace("ARM", "")
+    errs = [(e.code, e.message) for e in errors_of(check_source(src))]
+    assert errs == ([] if unbound is None else
+                    [("BRTS011", f"logical variable '{unbound}' is not in scope here")])
+
+
 def test_instantiate_family_weakest_and_out_of_family():
     checker = fixture_checker()
     fam = checker.st.states["ProducerConsumer"].families["SB"]
